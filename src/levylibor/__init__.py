@@ -2,14 +2,13 @@
 
 Forward rates evolve under the terminal measure; three discretizations of
 the log-rate equation (full state-dependent drift, deterministic frozen
-drift, and a two-stage corrected scheme) share driver increments path by
-path, so their prices and implied volatilities can be compared at common
-random numbers.
+drift, and a two-stage corrected scheme) run on one batch engine with one
+drift evaluator and share driver increments path by path, so their prices
+and implied volatilities can be compared at common random numbers.
 """
 
 from .driver import (
     CumulantDomainError,
-    DriverIncrements,
     ExponentialMomentBound,
     ExponentialMomentReport,
     LevyTriplet,
@@ -23,7 +22,6 @@ from .driver import (
     path_rng,
     sample_inverse_gaussian,
     sample_nig_increment,
-    simulate_driver_increments,
     validate_exponential_moments,
 )
 from .market import (
@@ -43,24 +41,14 @@ from .market import (
 )
 from .drift import (
     DriftEvaluator,
-    DriftMethod,
-    StateVector,
-    deterministic_drift_table,
-    drift_cumulant_expansion,
     drift_quadrature,
-    jump_factor,
     link_weight,
-    terminal_drift,
 )
 from .simulate import (
-    PathBundle,
     Scheme,
     SimulationEngine,
     SimulationGrid,
     build_grid,
-    dump_paths,
-    simulate_ensemble,
-    simulate_path,
 )
 from .pricing import (
     CapletSpec,
@@ -72,14 +60,16 @@ from .pricing import (
     SwaptionSpec,
     black76_implied_vol,
     black76_price,
-    caplet_payoff,
+    caplet_payoffs,
     caplet_price_last_rate,
+    chain_products,
+    check_specs,
     compare_schemes,
     forward_swap_rate,
     price_caplet_mc,
     price_instruments_mc,
     price_swaption_mc,
-    swaption_payoff,
+    swaption_payoffs,
     write_iv_surface,
     zero_strike_caplet_value,
 )

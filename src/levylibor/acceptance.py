@@ -15,8 +15,9 @@ Criteria overview:
    must agree with an independent one-dimensional quadrature price.
 3. Scheme coincidence: the last rate has a deterministic drift, so all
    three schemes must produce bit-identical paths and prices for it.
-4. Drift route agreement: the cumulant-expansion drift must match the
-   direct quadrature drift on random states to near machine precision.
+4. Drift route agreement: the jump term of the engine's drift evaluator
+   (the cumulant expansion) must match the direct quadrature oracle on
+   random states to near machine precision.
 5. Two-stage scheme accuracy: implied vols from the two-stage scheme stay
    within one vol point of the full recursive solution across the caplet
    surface.
@@ -44,7 +45,7 @@ import numpy as np
 
 from .driver import nig_cumulant
 from .market import MarketSetup, bundled_setup, validate_setup
-from .drift import StateVector, drift_cumulant_expansion, drift_quadrature
+from .drift import DriftEvaluator, drift_quadrature
 from .simulate import Scheme, SimulationEngine, build_grid
 from .pricing import (
     CapletSpec,
@@ -52,14 +53,13 @@ from .pricing import (
     ComparisonTable,
     black76_implied_vol,
     black76_price,
+    caplet_payoffs,
     caplet_price_last_rate,
+    chain_products,
     compare_schemes,
     price_caplet_mc,
+    swaption_payoffs,
     zero_strike_caplet_value,
-    _caplet_payoff_batch,
-    _rate_accruals,
-    _suffix_products,
-    _swaption_payoff_batch,
 )
 
 DEFAULT_SEED = 20020219
@@ -207,7 +207,6 @@ def criterion_scheme_coincidence(
     grid = build_grid(setup.tenor, substeps)
     engine = SimulationEngine(setup, grid)
     last = setup.tenor.n_rates
-    accruals = _rate_accruals(setup)
     strike = setup.initial_rate(last)
     spec = CapletSpec(last, strike)
     paths_ok = True
@@ -218,7 +217,7 @@ def criterion_scheme_coincidence(
         payoffs = {}
         for s, arr in logs.items():
             fix = engine.fixings(arr)
-            payoffs[s] = _caplet_payoff_batch(_suffix_products(fix, accruals), fix, spec, setup)
+            payoffs[s] = caplet_payoffs(chain_products(fix, setup), fix, spec, setup)
         ref = logs[Scheme.FULL_SDE][:, last - 1, :]
         ref_pay = payoffs[Scheme.FULL_SDE]
         for s in (Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR):
@@ -241,24 +240,28 @@ def criterion_drift_route_agreement(
     tolerance: float = 1e-6,
     runtime_limit: Optional[float] = 30.0,
 ) -> CriterionResult:
-    """Criterion 4: cumulant-expansion drift versus quadrature drift.
+    """Criterion 4: the engine's drift evaluator versus quadrature drift.
 
-    Evaluates both drift routes on random log-rate states at random times
-    for every rate index and requires relative agreement within the stated
+    Evaluates the jump term of the drift through the
+    :class:`~levylibor.drift.DriftEvaluator` the engine runs and through the
+    quadrature oracle, on random log-rate states at random times for every
+    rate index, and requires relative agreement within the stated
     tolerance.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     n = setup.tenor.n_rates
+    # One step per accrual interval: its tables cover every loading pattern
+    # a time in [0, T_N] can produce.
+    evaluator = DriftEvaluator(setup, build_grid(setup.tenor, 1))
     worst = 0.0
     worst_where = (0, 0.0)
     for _ in range(n_states):
         values = setup.log_initial_rates + rng.normal(0.0, 0.5, size=n)
-        state = StateVector(values, "log_rate")
         for i in range(1, n + 1):
             s = rng.uniform(0.0, setup.tenor.date(i))
-            a = drift_cumulant_expansion(s, i, state, setup)
-            b = drift_quadrature(s, i, state, setup)
+            a = evaluator.jump_terms(s, values[None, :])[0, i - 1]
+            b = drift_quadrature(s, i, values, setup)
             scale = max(abs(a), abs(b), 1e-300)
             rel = abs(a - b) / scale
             if rel > worst:
@@ -463,14 +466,13 @@ def _check_black76_round_trip(tolerance: float = 1e-8):
 
 
 def _check_single_period_swaption(setup, engine, dh, tolerance: float = 1e-13):
-    accruals = _rate_accruals(setup)
     fix = engine.fixings(engine.evolve(Scheme.FULL_SDE, dh))
-    suffix = _suffix_products(fix, accruals)
+    products = chain_products(fix, setup)
     worst = 0.0
     for i in (2, 5, 8):
         strike = setup.initial_rate(i)
-        cap = _caplet_payoff_batch(suffix, fix, CapletSpec(i, strike), setup)
-        swp = _swaption_payoff_batch(suffix, SwaptionSpec(i, i + 1, strike), setup)
+        cap = caplet_payoffs(products, fix, CapletSpec(i, strike), setup)
+        swp = swaption_payoffs(products, SwaptionSpec(i, i + 1, strike), setup)
         worst = max(worst, float(np.max(np.abs(cap - swp))))
     return worst <= tolerance, "single-period swaption vs caplet: max |payoff gap| %.3g (tolerance %.0e)" % (worst, tolerance)
 
@@ -537,7 +539,6 @@ def _check_grid_refinement(setup, seed, n_paths, substeps):
     coarse = build_grid(setup.tenor, substeps)
     engine_fine = SimulationEngine(setup, fine)
     engine_coarse = SimulationEngine(setup, coarse)
-    accruals = _rate_accruals(setup)
     rate = 5
     spec = CapletSpec(rate, setup.initial_rate(rate))
     pay_coarse = []
@@ -550,7 +551,7 @@ def _check_grid_refinement(setup, seed, n_paths, substeps):
             (engine_fine, dh_fine, pay_fine),
         ):
             fix = engine.fixings(engine.evolve(Scheme.FULL_SDE, dh))
-            sink.append(_caplet_payoff_batch(_suffix_products(fix, accruals), fix, spec, setup))
+            sink.append(caplet_payoffs(chain_products(fix, setup), fix, spec, setup))
     coarse_pay = np.concatenate(pay_coarse)
     fine_pay = np.concatenate(pay_fine)
     bias = abs(float(coarse_pay.mean() - fine_pay.mean()))

@@ -25,7 +25,6 @@ from pathlib import Path
 
 from . import acceptance
 from .market import MarketSetup, bundled_setup, load_setup, validate_setup
-from .drift import DriftMethod
 from .simulate import Scheme
 from .pricing import (
     DEFAULT_MONEYNESS,
@@ -55,6 +54,16 @@ def _parse_moneyness(text: str) -> tuple[float, ...]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, pricing: bool) -> None:
     parser.add_argument("--setup", metavar="FILE", default=None,
                         help="market setup file (default: bundled setup)")
@@ -70,10 +79,8 @@ def _add_common(parser: argparse.ArgumentParser, pricing: bool) -> None:
                         "derive from it")
     parser.add_argument("--substeps", type=int, default=4, metavar="N",
                         help="time steps per accrual period (default: 4)")
-    parser.add_argument("--drift-method", default="cumulant",
-                        choices=[m.value for m in DriftMethod],
-                        help="drift evaluation route (default: cumulant)")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        metavar="N",
                         help="worker threads for path batches (default: 1)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="output CSV path (default: stdout)")
@@ -132,7 +139,7 @@ def _cmd_price_caplets(args: argparse.Namespace) -> int:
     specs = [CapletSpec(i, strike) for i, strike in _caplet_strikes(setup, args)]
     results = price_instruments_mc(
         setup, specs, [], [scheme], args.paths, args.seed, args.substeps,
-        DriftMethod.parse(args.drift_method), threads=args.threads)
+        threads=args.threads)
     estimates = results[scheme][0]
     rows = [("caplet", spec.maturity_index, None, spec.strike, est)
             for spec, est in zip(specs, estimates)]
@@ -162,7 +169,7 @@ def _cmd_price_swaptions(args: argparse.Namespace) -> int:
     specs = list(_swaption_specs(setup, args))
     results = price_instruments_mc(
         setup, [], specs, [scheme], args.paths, args.seed, args.substeps,
-        DriftMethod.parse(args.drift_method), threads=args.threads)
+        threads=args.threads)
     estimates = results[scheme][1]
     rows = [(f"swaption_{s.expiry_index}_{s.end_index}", s.expiry_index,
              s.end_index, s.strike, est)
@@ -190,8 +197,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     table = compare_schemes(
         setup, args.paths, args.seed, substeps=args.substeps,
         moneyness=args.moneyness,
-        schemes=schemes, drift_method=DriftMethod.parse(args.drift_method),
-        threads=args.threads)
+        schemes=schemes, threads=args.threads)
     with _open_out(args.out) as fh:
         table.write_csv(fh)
     if args.surface_out is not None:
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N", help="master seed")
     p.add_argument("--substeps", type=int, default=4, metavar="N",
                    help="time steps per accrual period (default: 4)")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
+    p.add_argument("--threads", type=_positive_int, default=1, metavar="N",
                    help="worker threads for path batches (default: 1)")
     p.add_argument("--paths-scale", type=float, default=1.0, metavar="X",
                    help="rescale all path counts (smoke runs only)")

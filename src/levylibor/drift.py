@@ -19,53 +19,19 @@ loadings:
 with ``Lam_R`` the sum of loadings over ``R``.  The inner sums do not depend
 on the state, so they are precomputed once per loading pattern; evaluating
 the drift then costs one subset-product transform and a dot product per
-rate.  An adaptive-quadrature route integrates the same integrand directly
-against the Levy density and serves as the independent cross-check.
+rate.  :class:`DriftEvaluator` is the only drift route of the engine.
+:func:`drift_quadrature` integrates the same integrand directly against the
+Levy density; it is far too slow for simulation and serves as the
+independent oracle the evaluator is tested against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
 
 from .driver import nig_jump_cumulant, nig_levy_density
 from .market import MarketSetup
-
-
-class DriftMethod(Enum):
-    CUMULANT_EXPANSION = "cumulant"
-    QUADRATURE = "quadrature"
-
-    @classmethod
-    def parse(cls, text: str) -> "DriftMethod":
-        for m in cls:
-            if m.value == text:
-                return m
-        raise ValueError(f"unknown drift method {text!r}; "
-                         f"choose from {[m.value for m in cls]}")
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Log forward rates entering the drift, with their provenance.
-
-    ``kind`` is ``"log_rate"`` for exact simulated states and ``"proxy"``
-    for deterministic-drift stage-one values substituted in their place;
-    the drift treats both identically, the flag documents which
-    approximation a caller is running.
-    """
-
-    values: np.ndarray
-    kind: str = "log_rate"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("log_rate", "proxy"):
-            raise ValueError(f"unknown state kind {self.kind!r}")
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
 
 
 def link_weight(z, accrual: float):
@@ -80,14 +46,8 @@ def link_weight(z, accrual: float):
     return float(out) if za.ndim == 0 else out
 
 
-def jump_factor(weight, vol: float, x):
-    """Per-jump factor ``u*(e^(vol*x) - 1) + 1`` tying one rate into the
-    terminal-measure compensator."""
-    return 1.0 + np.asarray(weight) * np.expm1(vol * np.asarray(x))
-
-
 # ---------------------------------------------------------------------------
-# Cumulant-expansion route
+# Cumulant expansion: the engine's drift
 # ---------------------------------------------------------------------------
 
 def _subset_coefficients(lam_i: float, lams_after: tuple[float, ...],
@@ -128,17 +88,15 @@ def _subset_coefficients(lam_i: float, lams_after: tuple[float, ...],
 class DriftEvaluator:
     """Drift machinery for one setup on one time grid.
 
-    Precomputes, per grid step, the loadings in force on the open interval,
-    the active rates and their expansion coefficient tables; evaluation then
-    runs one pass over the rates from the back of the tenor, growing the
-    subset products incrementally so every rate reuses the products built
-    for the rates after it.
+    Precomputes, per grid step, the loadings in force on the open interval
+    and the expansion coefficient tables of every loading pattern they
+    produce; evaluation then runs one pass over the rates from the back of
+    the tenor, growing the subset products incrementally so every rate
+    reuses the products built for the rates after it.
     """
 
-    def __init__(self, setup: MarketSetup, grid,
-                 method: DriftMethod = DriftMethod.CUMULANT_EXPANSION) -> None:
+    def __init__(self, setup: MarketSetup, grid) -> None:
         self.setup = setup
-        self.method = method
         times = np.asarray(getattr(grid, "times", grid), dtype=float)
         if times.size < 2 or np.any(np.diff(times) <= 0.0):
             raise ValueError("grid times must be strictly increasing")
@@ -154,66 +112,79 @@ class DriftEvaluator:
         self.step_gauss = np.array([setup.triplet.gauss(t) for t in mids])
         self.accruals = np.array([setup.tenor.accrual(i)
                                   for i in range(1, n + 1)])
+        # Coefficient tables keyed by loading pattern: the rate's own
+        # loading followed by the live loadings after it, last rate first.
+        # Every step's tables are built here, so step_drift only looks
+        # them up.
         self._tables: dict[tuple[float, ...], np.ndarray] = {}
-        # Per step: active rate columns in descending order and their tables.
-        self._plan: list[list[tuple[int, np.ndarray]]] = []
-        for k in range(len(self.dt)):
-            lam = self.step_vols[k]
-            active = [col for col in range(n) if lam[col] != 0.0]
-            plan_k = []
-            for col in reversed(active):
-                after = tuple(lam[c] for c in reversed(active) if c > col)
-                key = (lam[col],) + after
-                table = self._tables.get(key)
-                if table is None:
-                    table = _subset_coefficients(lam[col], after, setup)
-                    self._tables[key] = table
-                plan_k.append((col, table))
-            self._plan.append(plan_k)
+        for lam in self.step_vols:
+            self._columns(lam)
 
     @property
     def n_steps(self) -> int:
         return len(self.dt)
 
+    def _columns(self, lam: np.ndarray) -> list[tuple[int, np.ndarray]]:
+        """Live rate columns under loadings ``lam``, last rate first, each
+        with its coefficient table (built on first use)."""
+        out = []
+        after: tuple[float, ...] = ()
+        for col in np.flatnonzero(lam)[::-1]:
+            key = (lam[col],) + after
+            table = self._tables.get(key)
+            if table is None:
+                table = _subset_coefficients(lam[col], after, self.setup)
+                self._tables[key] = table
+            out.append((col, table))
+            after = after + (lam[col],)
+        return out
+
+    def _jump_pass(self, lam: np.ndarray, z: np.ndarray):
+        """Back-to-front pass under loadings ``lam`` for states ``z``.
+
+        Yields ``(col, J, weight)`` per live rate, last rate first: the jump
+        term of that rate and its link weight, one entry per path.
+        """
+        subset_products = np.ones((z.shape[0], 1))
+        for col, table in self._columns(lam):
+            weight = link_weight(z[:, col], self.accruals[col])
+            yield col, subset_products @ table, weight
+            subset_products = np.concatenate(
+                [subset_products, weight[:, None] * subset_products], axis=1)
+
+    def jump_terms(self, s: float, z: np.ndarray) -> np.ndarray:
+        """Jump terms J(s, T_i; z) for a batch of states, shape (paths, rates).
+
+        Uses the loadings ``vol_at(s, .)`` in force at time ``s``; rates
+        past their fixing get zero.
+        """
+        lam = np.array([self.setup.vols.vol_at(s, i)
+                        for i in range(1, self.n_rates + 1)])
+        out = np.zeros((z.shape[0], self.n_rates))
+        for col, j_term, _ in self._jump_pass(lam, z):
+            out[:, col] = j_term
+        return out
+
     def step_drift(self, k: int, z: np.ndarray) -> np.ndarray:
         """Drift rates b(step k, rate; z) for a batch of states.
 
-        ``z`` has shape (paths, rates); dead rates get drift zero.  The state
-        is read as-is (the caller decides whether it holds exact log rates,
-        frozen initial values or stage-one proxies).
+        ``z`` has shape (paths, rates); dead rates get drift zero.  The jump
+        term comes from the pass at the step's midpoint loadings, the
+        Gaussian terms are closed form.  The state is read as-is (the caller
+        decides whether it holds exact log rates, frozen initial values or
+        stage-one proxies).
         """
-        if self.method is DriftMethod.QUADRATURE:
-            return self._step_drift_quadrature(k, z)
         lam = self.step_vols[k]
         c = self.step_gauss[k]
-        paths = z.shape[0]
-        out = np.zeros((paths, self.n_rates))
-        subset_products = np.ones((paths, 1))
-        gauss_sum = np.zeros(paths) if c > 0.0 else None
-        for col, table in self._plan[k]:
-            j_term = subset_products @ table
+        out = np.zeros((z.shape[0], self.n_rates))
+        gauss_sum = 0.0
+        for col, j_term, weight in self._jump_pass(lam, z):
             if c > 0.0:
                 out[:, col] = (-0.5 * lam[col] * lam[col] * c
                                - c * lam[col] * gauss_sum - j_term)
+                gauss_sum = gauss_sum + lam[col] * weight
             else:
                 out[:, col] = -j_term
-            weight = link_weight(z[:, col], self.accruals[col])
-            subset_products = np.concatenate(
-                [subset_products, weight[:, None] * subset_products], axis=1)
-            if c > 0.0:
-                gauss_sum = gauss_sum + lam[col] * weight
-        return out
-
-    def _step_drift_quadrature(self, k: int, z: np.ndarray) -> np.ndarray:
-        t = self.mids[k]
-        paths = z.shape[0]
-        out = np.zeros((paths, self.n_rates))
-        for p in range(paths):
-            state = StateVector(z[p])
-            for col in range(self.n_rates):
-                if self.step_vols[k, col] != 0.0:
-                    out[p, col] = terminal_drift(
-                        t, col + 1, state, self.setup, DriftMethod.QUADRATURE)
         return out
 
     def frozen_table(self, state0: np.ndarray | None = None) -> np.ndarray:
@@ -224,34 +195,26 @@ class DriftEvaluator:
         return np.array(rows)
 
 
-def drift_cumulant_expansion(s: float, i: int, state: StateVector,
-                             setup: MarketSetup) -> float:
-    """Jump-integral term ``J`` of the drift via the cumulant expansion."""
-    lam_i, weights, lams = _drift_inputs(s, i, state, setup)
-    if lam_i == 0.0:
-        return 0.0
-    table = _subset_coefficients(lam_i, lams, setup)
-    products = np.ones(1)
-    for w in weights:
-        products = np.concatenate([products, w * products])
-    return float(products @ table)
+# ---------------------------------------------------------------------------
+# Quadrature: the test oracle
+# ---------------------------------------------------------------------------
 
-
-def drift_quadrature(s: float, i: int, state: StateVector,
+def drift_quadrature(s: float, i: int, log_rates,
                      setup: MarketSetup) -> float:
-    """Jump-integral term ``J`` by adaptive quadrature against the Levy
-    density; the independent route the expansion is checked against.
+    """Jump-integral term ``J`` of rate ``i`` at time ``s`` by adaptive
+    quadrature against the Levy density, for log rates ``log_rates``; the
+    independent oracle :meth:`DriftEvaluator.jump_terms` is checked against.
 
     The integrand is kept in compensated form,
 
         g(x) = [expm1(lam_i x) - lam_i x]
-               + expm1(lam_i x) * [prod_l jump_factor - 1],
+               + expm1(lam_i x) * [prod_l (1 + u_l expm1(lam_l x)) - 1],
 
     which vanishes to second order at the origin where the density blows up
     like ``x^-2``; below ``|x| = 1e-6`` the finite product ``g * density`` is
     replaced by its analytic limit.
     """
-    lam_i, weights, lams = _drift_inputs(s, i, state, setup)
+    lam_i, weights, lams = _drift_inputs(s, i, log_rates, setup)
     if lam_i == 0.0:
         return 0.0
     jumps = setup.triplet.jumps
@@ -292,13 +255,13 @@ def drift_quadrature(s: float, i: int, state: StateVector,
     return total
 
 
-def _drift_inputs(s: float, i: int, state: StateVector, setup: MarketSetup):
+def _drift_inputs(s: float, i: int, log_rates, setup: MarketSetup):
     """Loading of rate ``i`` plus weights and loadings of the live rates
     after it, at time ``s``."""
     n = setup.n_rates
     if not 1 <= i <= n:
         raise IndexError(f"rate index {i} outside 1..{n}")
-    values = state.values
+    values = np.asarray(log_rates, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"state must hold {n} log rates, got {values.shape}")
     lam_i = setup.vols.vol_at(s, i)
@@ -310,39 +273,3 @@ def _drift_inputs(s: float, i: int, state: StateVector, setup: MarketSetup):
             weights.append(link_weight(values[l - 1], setup.tenor.accrual(l)))
             lams.append(lam_l)
     return lam_i, tuple(weights), tuple(lams)
-
-
-def terminal_drift(s: float, i: int, state: StateVector, setup: MarketSetup,
-                   method: DriftMethod = DriftMethod.CUMULANT_EXPANSION
-                   ) -> float:
-    """Drift rate of log L(., T_i) under the terminal measure.
-
-    Zero past the fixing date of rate ``i`` (its loading has been cut off).
-    The Gaussian contribution is closed form; the jump integral ``J`` goes
-    through the method selected.
-    """
-    lam_i = setup.vols.vol_at(s, i)
-    if lam_i == 0.0:
-        return 0.0
-    if method is DriftMethod.QUADRATURE:
-        j_term = drift_quadrature(s, i, state, setup)
-    else:
-        j_term = drift_cumulant_expansion(s, i, state, setup)
-    c = setup.triplet.gauss(s)
-    out = -j_term
-    if c > 0.0:
-        _, weights, lams = _drift_inputs(s, i, state, setup)
-        gauss_sum = float(np.sum(np.asarray(weights) * np.asarray(lams)))
-        out -= 0.5 * lam_i * lam_i * c + c * lam_i * gauss_sum
-    return out
-
-
-def deterministic_drift_table(grid, setup: MarketSetup,
-                              state0: np.ndarray | None = None) -> np.ndarray:
-    """Drift table with the state frozen at the initial log rates.
-
-    Shape (steps, rates); row ``k`` holds ``b(t_k, T_i; X(0))`` for the open
-    interval ``(t_k, t_(k+1))``.  This is the whole drift input of the
-    deterministic-drift scheme and of stage one of the corrected scheme.
-    """
-    return DriftEvaluator(setup, grid).frozen_table(state0)

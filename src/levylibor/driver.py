@@ -277,55 +277,6 @@ class LevyTriplet:
         return any(v > 0.0 for v in self.gauss.values)
 
 
-@dataclass(frozen=True)
-class DriverIncrements:
-    """Increments of the driver along a simulation grid, one path.
-
-    ``jump``, ``gauss`` and ``drift`` are the three parts of the increment per
-    grid step; ``dh`` is their sum, the quantity the log-rate recursions
-    multiply by the volatility loadings.
-    """
-
-    times: np.ndarray
-    jump: np.ndarray
-    gauss: np.ndarray | None
-    drift: np.ndarray
-
-    @property
-    def dh(self) -> np.ndarray:
-        out = self.drift + self.jump
-        if self.gauss is not None:
-            out = out + self.gauss
-        return out
-
-
-def simulate_driver_increments(grid, triplet: LevyTriplet,
-                               rng: np.random.Generator) -> DriverIncrements:
-    """Sample exact-in-law increments of the driver over each grid step.
-
-    ``grid`` may be a simulation grid object (its ``times`` attribute is used)
-    or a plain increasing array of times.  Characteristics are read at step
-    midpoints, which is exact whenever the grid refines their breakpoints.
-    Gaussian increments are drawn before jump increments, so two calls with
-    identical substreams produce identical paths regardless of scheme.
-    """
-    times = np.asarray(getattr(grid, "times", grid), dtype=float)
-    dt = np.diff(times)
-    if dt.size == 0 or np.any(dt <= 0.0):
-        raise ValueError("grid times must be strictly increasing with >= 1 step")
-    mids = 0.5 * (times[:-1] + times[1:])
-    b = np.array([triplet.drift(t) for t in mids])
-    c = np.array([triplet.gauss(t) for t in mids])
-    gauss = None
-    if triplet.has_gauss:
-        gauss = np.sqrt(c * dt) * rng.standard_normal(dt.size)
-    if triplet.jumps is not None:
-        jump = sample_nig_increment(dt, triplet.jumps, rng)
-    else:
-        jump = np.zeros_like(dt)
-    return DriverIncrements(times=times, jump=jump, gauss=gauss, drift=b * dt)
-
-
 # ---------------------------------------------------------------------------
 # Exponential-moment validation
 # ---------------------------------------------------------------------------

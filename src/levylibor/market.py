@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Sequence
@@ -166,17 +168,17 @@ def initial_libor(curve: DiscountCurve, tenor: TenorStructure) -> np.ndarray:
                 f"bond prices must decrease strictly: B(0, T_{i}) = "
                 f"{curve.bond(i)} <= B(0, T_{i + 1}) = {curve.bond(i + 1)}"
             )
-    out = np.array([(curve.bond(i) / curve.bond(i + 1) - 1.0) / tenor.accrual(i)
-                    for i in range(1, n + 1)])
+    out = _bootstrap(curve, tenor)
     out.setflags(write=False)
     return out
 
 
-def _initial_libor_lenient(curve: DiscountCurve,
-                           tenor: TenorStructure) -> np.ndarray:
-    """Same bootstrap without economic checks; bad curves yield rates <= 0."""
-    return np.array([(curve.bond(i) / curve.bond(i + 1) - 1.0)
-                     / tenor.accrual(i) for i in range(1, tenor.n_rates + 1)])
+def _bootstrap(curve: DiscountCurve, tenor: TenorStructure) -> np.ndarray:
+    """The bootstrap formula alone, without economic checks: bad curves
+    yield rates <= 0, or non-finite ones where a bond price is zero."""
+    bonds = np.asarray(curve.bonds, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (bonds[:-1] / bonds[1:] - 1.0) / tenor.accruals[1:]
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,7 @@ class MarketSetup:
             raise ValueError("curve length does not match tenor structure")
         if self.vols.tenor.dates != self.tenor.dates:
             raise ValueError("volatility structure built on a different tenor")
-        rates = _initial_libor_lenient(self.curve, self.tenor)
+        rates = _bootstrap(self.curve, self.tenor)
         with np.errstate(invalid="ignore", divide="ignore"):
             logs = np.log(rates)
         rates.setflags(write=False)
@@ -269,7 +271,7 @@ def validate_setup(setup: MarketSetup) -> SetupValidationReport:
     if positive and decreasing:
         detail = "bond prices positive and strictly decreasing"
     elif not positive:
-        k = 1 + next(j for j, b in enumerate(bonds) if b <= 0.0)
+        k = 1 + next(j for j, b in enumerate(bonds) if not b > 0.0)
         detail = f"bond price B(0, T_{k}) = {bonds[k - 1]} is not positive"
     else:
         k = 1 + next(j for j in range(len(bonds) - 1)
@@ -322,6 +324,37 @@ def validate_setup(setup: MarketSetup) -> SetupValidationReport:
 # Setup files
 # ---------------------------------------------------------------------------
 
+def _field(raw, key: str, where: str = ""):
+    """``raw[key]``, or ValueError naming the key when ``raw`` is not a
+    mapping or lacks it."""
+    path = f"{where}.{key}" if where else key
+    if not isinstance(raw, dict):
+        what = f"setup key {where!r}" if where else "a setup"
+        raise ValueError(f"{what} must be a mapping, "
+                         f"got {type(raw).__name__}")
+    if key not in raw:
+        raise ValueError(f"setup key {path!r} is missing")
+    return raw[key]
+
+
+def _number(value, path: str) -> float:
+    """A finite number, or ValueError naming the key it came from."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"setup key {path!r} must be a number, "
+                         f"got {value!r}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"setup key {path!r} must be finite, got {out}")
+    return out
+
+
+def _numbers(value, path: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"setup key {path!r} must be a list of numbers, "
+                         f"got {value!r}")
+    return tuple(_number(v, path) for v in value)
+
+
 def setup_from_dict(raw: dict, name: str = "") -> MarketSetup:
     """Build a setup from the documented mapping layout.
 
@@ -329,23 +362,37 @@ def setup_from_dict(raw: dict, name: str = "") -> MarketSetup:
     T_(N+1)), ``vols`` (per rate: a number, or one number per accrual
     interval before the fixing), ``nig`` (``alpha``, ``beta``, ``delta_bar``,
     ``mu``) and ``em`` (``M``, ``epsilon``).
+
+    Raises
+    ------
+    ValueError
+        Naming the key, when one is missing, has the wrong type or holds a
+        non-finite number, or when the pieces do not fit together.
     """
-    tenor = TenorStructure(tuple(float(t) for t in raw["tenor_dates"]))
-    curve = DiscountCurve(tuple(float(b) for b in raw["bond_prices"]))
-    spec = raw["vols"]
+    tenor = TenorStructure(_numbers(_field(raw, "tenor_dates"),
+                                    "tenor_dates"))
+    curve = DiscountCurve(_numbers(_field(raw, "bond_prices"),
+                                   "bond_prices"))
+    spec = _field(raw, "vols")
+    if not isinstance(spec, (list, tuple)):
+        raise ValueError(f"setup key 'vols' must be a list, got {spec!r}")
     levels = []
     for i, entry in enumerate(spec, start=1):
-        if isinstance(entry, (int, float)):
-            levels.append(tuple([float(entry)] * i))
+        if isinstance(entry, (list, tuple)):
+            levels.append(_numbers(entry, "vols"))
         else:
-            levels.append(tuple(float(v) for v in entry))
+            levels.append(tuple([_number(entry, "vols")] * i))
     vols = VolatilityStructure(tenor, tuple(levels))
-    nig = raw["nig"]
-    params = NigParams(alpha=float(nig["alpha"]), beta=float(nig.get("beta", 0.0)),
-                       delta=float(nig["delta_bar"]), mu=float(nig.get("mu", 0.0)))
-    em_raw = raw["em"]
-    em = ExponentialMomentBound(bound=float(em_raw["M"]),
-                                slack=float(em_raw.get("epsilon", 0.0)))
+    nig = _field(raw, "nig")
+    alpha = _number(_field(nig, "alpha", "nig"), "nig.alpha")
+    delta = _number(_field(nig, "delta_bar", "nig"), "nig.delta_bar")
+    beta = _number(nig.get("beta", 0.0), "nig.beta")
+    mu = _number(nig.get("mu", 0.0), "nig.mu")
+    params = NigParams(alpha=alpha, beta=beta, delta=delta, mu=mu)
+    em_raw = _field(raw, "em")
+    bound = _number(_field(em_raw, "M", "em"), "em.M")
+    slack = _number(em_raw.get("epsilon", 0.0), "em.epsilon")
+    em = ExponentialMomentBound(bound=bound, slack=slack)
     return MarketSetup(tenor=tenor, curve=curve, vols=vols,
                        triplet=LevyTriplet.pure_jump(params), em=em,
                        name=name or str(raw.get("name", "")))

@@ -21,11 +21,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm, norminvgauss
 
-from .drift import DriftMethod
 from .driver import nig_jump_cumulant
 from .market import MarketSetup
-from .simulate import (DEFAULT_BATCH, PathBundle, Scheme, SimulationEngine,
-                       build_grid)
+from .simulate import DEFAULT_BATCH, Scheme, SimulationEngine, build_grid
 
 DEFAULT_MONEYNESS = (0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3)
 DEFAULT_SWAPTION_PAIRS = ((2, 4), (2, 5), (2, 6), (2, 7),
@@ -60,8 +58,8 @@ class CapletSpec:
     def __post_init__(self) -> None:
         if self.maturity_index < 1:
             raise ValueError("maturity_index is 1-based")
-        if self.strike < 0.0:
-            raise ValueError("strike must be nonnegative")
+        if not self.strike >= 0.0:
+            raise ValueError(f"strike must be nonnegative, got {self.strike}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,8 @@ class SwaptionSpec:
             raise ValueError("expiry_index is 1-based")
         if self.end_index <= self.expiry_index:
             raise ValueError("end_index must exceed expiry_index")
-        if self.strike < 0.0:
-            raise ValueError("strike must be nonnegative")
+        if not self.strike >= 0.0:
+            raise ValueError(f"strike must be nonnegative, got {self.strike}")
 
 
 @dataclass(frozen=True)
@@ -98,17 +96,39 @@ class McEstimate:
 # Payoffs
 # ---------------------------------------------------------------------------
 
-def _rate_accruals(setup: MarketSetup) -> np.ndarray:
-    return np.array([setup.tenor.accrual(i)
-                     for i in range(1, setup.n_rates + 1)])
+def check_specs(setup: MarketSetup, caplets: Sequence[CapletSpec] = (),
+                swaptions: Sequence[SwaptionSpec] = ()) -> None:
+    """Raise ValueError unless every contract lives on the setup's tenor.
+
+    Caplets need a rate index in 1..N; swaptions need
+    ``1 <= expiry < end <= N+1``.  The payoff functions below assume this.
+    """
+    n = setup.n_rates
+    for spec in caplets:
+        if not 1 <= spec.maturity_index <= n:
+            raise ValueError(
+                f"rate index {spec.maturity_index} outside 1..{n}")
+    for spec in swaptions:
+        _check_swap_dates(setup, spec.expiry_index, spec.end_index)
 
 
-def _suffix_products(fixings: np.ndarray, accruals: np.ndarray) -> np.ndarray:
+def _check_swap_dates(setup: MarketSetup, expiry_index: int,
+                      end_index: int) -> None:
+    last = setup.n_rates + 1
+    if not 1 <= expiry_index < end_index <= last:
+        raise ValueError(
+            f"swaption expiry {expiry_index} and end {end_index} need "
+            f"1 <= expiry < end <= {last}")
+
+
+def chain_products(fixings: np.ndarray, setup: MarketSetup) -> np.ndarray:
     """Chain products G[:, i-1, k] = prod_(l=k..N) (1 + delta_l L(T_i, T_l)).
 
-    Shape (paths, rates, N + 2); index k runs 1..N+1 with the empty product
-    at k = N+1.  Entries with k <= i-1 read below-diagonal fixings and are
-    meaningless (nan)."""
+    ``fixings`` has the engine's layout (paths, rates, rates).  Shape
+    (paths, rates, N + 2); index k runs 1..N+1 with the empty product at
+    k = N+1.  Entries with k <= i-1 read below-diagonal fixings and are
+    meaningless (nan).  One array serves every instrument of a batch."""
+    accruals = setup.tenor.accruals[1:]
     paths, n, _ = fixings.shape
     out = np.ones((paths, n, n + 2))
     for k in range(n, 0, -1):
@@ -117,21 +137,19 @@ def _suffix_products(fixings: np.ndarray, accruals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _caplet_payoff_batch(products: np.ndarray, fixings: np.ndarray,
-                         spec: CapletSpec, setup: MarketSetup) -> np.ndarray:
+def caplet_payoffs(products: np.ndarray, fixings: np.ndarray,
+                   spec: CapletSpec, setup: MarketSetup) -> np.ndarray:
+    """Discounted caplet payoff per path (terminal-measure weighting)."""
     i = spec.maturity_index
-    if i > setup.n_rates:
-        raise IndexError(f"no rate with index {i}")
     scale = setup.tenor.accrual(i) * setup.curve.bond(setup.n_rates + 1)
     raw = np.maximum(fixings[:, i - 1, i - 1] - spec.strike, 0.0)
     return scale * products[:, i - 1, i + 1] * raw
 
 
-def _swaption_payoff_batch(products: np.ndarray, spec: SwaptionSpec,
-                           setup: MarketSetup) -> np.ndarray:
+def swaption_payoffs(products: np.ndarray, spec: SwaptionSpec,
+                     setup: MarketSetup) -> np.ndarray:
+    """Discounted payer-swaption payoff per path."""
     i, m = spec.expiry_index, spec.end_index
-    if m > setup.n_rates + 1:
-        raise IndexError(f"swap end {m} beyond the terminal date index")
     row = products[:, i - 1, :]
     fixed_leg = np.zeros(row.shape[0])
     for k in range(i + 1, m + 1):
@@ -140,22 +158,6 @@ def _swaption_payoff_batch(products: np.ndarray, spec: SwaptionSpec,
         fixed_leg += weight * row[:, k]
     value = row[:, i] - row[:, m] - spec.strike * fixed_leg
     return setup.curve.bond(setup.n_rates + 1) * np.maximum(value, 0.0)
-
-
-def caplet_payoff(bundle: PathBundle, spec: CapletSpec,
-                  setup: MarketSetup) -> float:
-    """Discounted caplet payoff on one path (terminal-measure weighting)."""
-    fix = bundle.fixings[None, :, :]
-    products = _suffix_products(fix, _rate_accruals(setup))
-    return float(_caplet_payoff_batch(products, fix, spec, setup)[0])
-
-
-def swaption_payoff(bundle: PathBundle, spec: SwaptionSpec,
-                    setup: MarketSetup) -> float:
-    """Discounted payer-swaption payoff on one path."""
-    fix = bundle.fixings[None, :, :]
-    products = _suffix_products(fix, _rate_accruals(setup))
-    return float(_swaption_payoff_batch(products, spec, setup)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,7 @@ def forward_swap_rate(setup: MarketSetup, expiry_index: int, end_index: int,
                       convention: CouponConvention = CouponConvention.ACCRUAL
                       ) -> float:
     """Par rate of the forward swap over [T_i, T_m] implied by the curve."""
+    _check_swap_dates(setup, expiry_index, end_index)
     i, m = expiry_index, end_index
     annuity = 0.0
     for k in range(i + 1, m + 1):
@@ -320,7 +323,6 @@ def price_instruments_mc(setup: MarketSetup,
                          swaptions: Sequence[SwaptionSpec],
                          schemes: Sequence[Scheme],
                          n_paths: int, seed: int, substeps: int = 4,
-                         drift_method: DriftMethod = DriftMethod.CUMULANT_EXPANSION,
                          batch_size: int = DEFAULT_BATCH, threads: int = 1
                          ) -> dict[Scheme, tuple[list[McEstimate],
                                                  list[McEstimate]]]:
@@ -334,9 +336,9 @@ def price_instruments_mc(setup: MarketSetup,
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
+    check_specs(setup, caplets, swaptions)
     grid = build_grid(setup.tenor, substeps)
-    engine = SimulationEngine(setup, grid, drift_method)
-    accruals = _rate_accruals(setup)
+    engine = SimulationEngine(setup, grid)
     schemes = list(schemes)
 
     acc: dict[Scheme, _Accumulator] = {
@@ -362,12 +364,12 @@ def price_instruments_mc(setup: MarketSetup,
                 log_paths = engine.evolve(scheme, dh)
             fix = engine.fixings(log_paths)
             valid = engine.valid_mask(log_paths, fix)
-            products = _suffix_products(fix, accruals)
+            products = chain_products(fix, setup)
             payoffs = [
-                _caplet_payoff_batch(products, fix, spec, setup)[valid]
+                caplet_payoffs(products, fix, spec, setup)[valid]
                 for spec in caplets
             ] + [
-                _swaption_payoff_batch(products, spec, setup)[valid]
+                swaption_payoffs(products, spec, setup)[valid]
                 for spec in swaptions
             ]
             n_valid = int(valid.sum())
@@ -416,21 +418,21 @@ def price_instruments_mc(setup: MarketSetup,
 
 def price_caplet_mc(setup: MarketSetup, spec: CapletSpec, scheme: Scheme,
                     n_paths: int, seed: int, substeps: int = 4,
-                    drift_method: DriftMethod = DriftMethod.CUMULANT_EXPANSION,
                     batch_size: int = DEFAULT_BATCH,
                     threads: int = 1) -> McEstimate:
     res = price_instruments_mc(setup, [spec], [], [scheme], n_paths, seed,
-                               substeps, drift_method, batch_size, threads)
+                               substeps, batch_size=batch_size,
+                               threads=threads)
     return res[scheme][0][0]
 
 
 def price_swaption_mc(setup: MarketSetup, spec: SwaptionSpec, scheme: Scheme,
                       n_paths: int, seed: int, substeps: int = 4,
-                      drift_method: DriftMethod = DriftMethod.CUMULANT_EXPANSION,
                       batch_size: int = DEFAULT_BATCH,
                       threads: int = 1) -> McEstimate:
     res = price_instruments_mc(setup, [], [spec], [scheme], n_paths, seed,
-                               substeps, drift_method, batch_size, threads)
+                               substeps, batch_size=batch_size,
+                               threads=threads)
     return res[scheme][1][0]
 
 
@@ -541,7 +543,6 @@ def compare_schemes(setup: MarketSetup, n_paths: int, seed: int,
                                                  Scheme.FROZEN_DRIFT,
                                                  Scheme.STRONG_TAYLOR),
                     convention: CouponConvention = CouponConvention.ACCRUAL,
-                    drift_method: DriftMethod = DriftMethod.CUMULANT_EXPANSION,
                     batch_size: int = DEFAULT_BATCH,
                     threads: int = 1) -> ComparisonTable:
     """Price the caplet and swaption grids under every scheme on common
@@ -572,7 +573,7 @@ def compare_schemes(setup: MarketSetup, n_paths: int, seed: int,
 
     results = price_instruments_mc(setup, caplet_specs, swaption_specs,
                                    schemes, n_paths, seed, substeps,
-                                   drift_method, batch_size, threads)
+                                   batch_size=batch_size, threads=threads)
 
     n_caplets = len(caplet_specs)
     for scheme in schemes:

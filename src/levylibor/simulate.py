@@ -10,24 +10,25 @@ Three schemes integrate the same log-rate equation
 * ``STRONG_TAYLOR`` runs the deterministic-drift recursion first and feeds
                    those stage-one paths into the drift of a second pass.
 
-All three consume identical driver increments, so runs at the same seed are
-coupled pathwise; the last rate has a state-free drift and is produced by
-the same arithmetic in every scheme, bit for bit.  Loadings appearing in a
-step are the ones in force on the open interval (read at the midpoint), so
-a rate stays exactly constant from its fixing date on.
+All three run on one batch engine, :class:`SimulationEngine`, read their
+drift from its single :class:`~levylibor.drift.DriftEvaluator`, and consume
+identical driver increments, so runs at the same seed are coupled pathwise;
+the last rate has a state-free drift and is produced by the same arithmetic
+in every scheme, bit for bit.  Loadings appearing in a step are the ones in
+force on the open interval (read at the midpoint), so a rate stays exactly
+constant from its fixing date on.  The driver increments of path ``j`` at
+seed ``s`` depend only on ``(s, j)``, whatever the batch they are drawn in.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .drift import DriftEvaluator, DriftMethod
-from .driver import path_rng, sample_inverse_gaussian, simulate_driver_increments
+from .drift import DriftEvaluator
+from .driver import path_rng, sample_inverse_gaussian
 from .market import MarketSetup, TenorStructure
 
 DEFAULT_BATCH = 4096
@@ -89,39 +90,18 @@ def build_grid(tenor: TenorStructure, substeps: int) -> SimulationGrid:
                           substeps=substeps)
 
 
-@dataclass(frozen=True)
-class PathBundle:
-    """One simulated path: log-rate trajectories plus tenor-date fixings.
-
-    ``log_rates[i-1, k]`` is log L(t_k, T_i); rows are constant past the
-    fixing date.  ``fixings[i-1, l-1]`` holds L(T_i, T_l) for ``l >= i`` and
-    nan below the diagonal.  ``valid`` is False when the path overflowed
-    (any non-finite log rate or fixing); estimators skip and count these.
-    """
-
-    scheme: Scheme
-    grid: SimulationGrid
-    log_rates: np.ndarray
-    fixings: np.ndarray
-    seed: int
-    path_index: int
-    valid: bool
-
-
 class SimulationEngine:
-    """Shared machinery for one (setup, grid, drift method) triple.
+    """Shared machinery for one (setup, grid) pair.
 
     Holds the precomputed drift evaluator, the deterministic drift table and
-    the per-step sampling constants, so ensembles and pricing runs pay the
-    setup cost once.
+    the per-step sampling constants, so pricing runs pay the setup cost
+    once.
     """
 
-    def __init__(self, setup: MarketSetup, grid: SimulationGrid,
-                 drift_method: DriftMethod = DriftMethod.CUMULANT_EXPANSION
-                 ) -> None:
+    def __init__(self, setup: MarketSetup, grid: SimulationGrid) -> None:
         self.setup = setup
         self.grid = grid
-        self.evaluator = DriftEvaluator(setup, grid, drift_method)
+        self.evaluator = DriftEvaluator(setup, grid)
         self.frozen_table = self.evaluator.frozen_table()
         self.dt = self.evaluator.dt
         self.step_vols = self.evaluator.step_vols
@@ -144,9 +124,10 @@ class SimulationEngine:
                         count: int) -> np.ndarray:
         """Total driver increments dH for paths ``first_index`` onward.
 
-        Each path draws from its own substream; the draw order per path
-        matches :func:`simulate_driver_increments` (Gaussian part first),
-        so the two routes produce identical paths from identical streams.
+        Each path draws from its own substream, Gaussian part first; the
+        jump part is drawn exactly as
+        :func:`~levylibor.driver.sample_nig_increment` draws it from the
+        same substream.
         """
         k = len(self.dt)
         out = np.empty((count, k))
@@ -214,66 +195,3 @@ class SimulationEngine:
         for i in range(n):
             ok &= np.isfinite(fixings[:, i, i:]).all(axis=1)
         return ok
-
-
-def simulate_path(scheme: Scheme, grid: SimulationGrid, setup: MarketSetup,
-                  rng: np.random.Generator,
-                  drift_method: DriftMethod = DriftMethod.CUMULANT_EXPANSION,
-                  seed: int = -1, path_index: int = 0,
-                  _engine: SimulationEngine | None = None) -> PathBundle:
-    """Simulate a single path from an explicit substream.
-
-    Standalone calls rebuild the drift tables each time; ensembles go
-    through :func:`simulate_ensemble`, which shares one engine.
-    """
-    engine = _engine or SimulationEngine(setup, grid, drift_method)
-    inc = simulate_driver_increments(grid, setup.triplet, rng)
-    dh = inc.dh[None, :]
-    log_paths = engine.evolve(scheme, dh)
-    fixings = engine.fixings(log_paths)
-    valid = bool(engine.valid_mask(log_paths, fixings)[0])
-    return PathBundle(scheme=scheme, grid=grid, log_rates=log_paths[0],
-                      fixings=fixings[0], seed=seed, path_index=path_index,
-                      valid=valid)
-
-
-def simulate_ensemble(scheme: Scheme, grid: SimulationGrid,
-                      setup: MarketSetup, n_paths: int, seed: int,
-                      drift_method: DriftMethod = DriftMethod.CUMULANT_EXPANSION,
-                      batch_size: int = DEFAULT_BATCH
-                      ) -> Iterator[PathBundle]:
-    """Yield ``n_paths`` bundles in path order.
-
-    Path ``j`` depends only on ``(seed, j)``: the same bundle comes back no
-    matter the batch size or how many paths are requested alongside it.
-    """
-    engine = SimulationEngine(setup, grid, drift_method)
-    for start in range(0, n_paths, batch_size):
-        count = min(batch_size, n_paths - start)
-        dh = engine.path_increments(seed, start, count)
-        log_paths = engine.evolve(scheme, dh)
-        fixings = engine.fixings(log_paths)
-        valid = engine.valid_mask(log_paths, fixings)
-        for j in range(count):
-            yield PathBundle(scheme=scheme, grid=grid,
-                             log_rates=log_paths[j], fixings=fixings[j],
-                             seed=seed, path_index=start + j,
-                             valid=bool(valid[j]))
-
-
-def dump_paths(bundles: Iterable[PathBundle], file) -> int:
-    """Write bundles as CSV, one row per (path, rate, grid point).
-
-    Returns the number of rows written.  ``file`` is an open text handle.
-    """
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(["path", "scheme", "rate", "time", "log_rate", "valid"])
-    rows = 0
-    for b in bundles:
-        for i in range(1, b.log_rates.shape[0] + 1):
-            for k, t in enumerate(b.grid.times):
-                writer.writerow([b.path_index, b.scheme.value, i,
-                                 f"{t:.10g}", f"{b.log_rates[i - 1, k]:.17g}",
-                                 int(b.valid)])
-                rows += 1
-    return rows

@@ -49,6 +49,16 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    def test_missing_key_is_a_structured_error(self, tmp_path, capsys):
+        raw = setup_to_dict(bundled_setup())
+        del raw["nig"]
+        path = tmp_path / "no_nig.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(["validate", "--setup", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "'nig'" in err
+
 
 class TestPriceCaplets:
     def test_zero_strike_forward_identity(self, capsys):
@@ -69,6 +79,14 @@ class TestPriceCaplets:
             ["price-caplets", "--rate", "12", "--paths", "1000"], capsys)
         assert code == 2
         assert "rate index" in err
+
+    def test_nan_strike_is_rejected(self, capsys):
+        code, out, err = run_cli(
+            ["price-caplets", "--rate", "2", "--strike", "nan",
+             "--paths", "100"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "strike" in err
 
     def test_moneyness_grid_row_count(self, capsys):
         code, out, _ = run_cli(
@@ -98,6 +116,19 @@ class TestPriceSwaptions:
             ["price-swaptions", "--expiry", "2", "--paths", "100"], capsys)
         assert code == 2
         assert "--end" in err
+
+    @pytest.mark.parametrize("dates", [
+        ["--expiry", "9", "--end", "12"],
+        ["--expiry", "0", "--end", "3"],
+        ["--expiry", "3", "--end", "3"],
+        ["--expiry", "9", "--end", "12", "--strike", "0.05"],
+    ])
+    def test_swap_dates_off_the_tenor_are_rejected(self, dates, capsys):
+        code, out, err = run_cli(
+            ["price-swaptions", *dates, "--paths", "100"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_default_grid_runs_all_pairs(self, capsys):
         code, out, _ = run_cli(
@@ -143,6 +174,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["price-caplets", "--scheme", "euler"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["price-caplets", "--threads", "0"],
+        ["price-caplets", "--threads", "-3"],
+        ["compare", "--threads", "0"],
+        ["reproduce-paper", "--threads", "0"],
+    ])
+    def test_threads_below_one_exit_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):

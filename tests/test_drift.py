@@ -1,23 +1,19 @@
-"""Tests for the terminal-measure drift: expansion, quadrature, tables."""
+"""Tests for the terminal-measure drift: the evaluator, its tables, and
+the quadrature oracle it is checked against."""
 
 import numpy as np
 import pytest
 
 from levylibor import (
     DriftEvaluator,
-    DriftMethod,
-    StateVector,
     bundled_setup,
     build_grid,
-    deterministic_drift_table,
-    drift_cumulant_expansion,
     drift_quadrature,
     nig_jump_cumulant,
     setup_from_dict,
     setup_to_dict,
-    terminal_drift,
 )
-from levylibor.drift import link_weight, jump_factor
+from levylibor.drift import link_weight
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +23,18 @@ def setup():
 
 @pytest.fixture(scope="module")
 def initial_state(setup):
-    return StateVector(setup.log_initial_rates.copy(), "log_rate")
+    return setup.log_initial_rates.copy()
+
+
+@pytest.fixture(scope="module")
+def evaluator(setup):
+    # Step 0 spans [0, 0.5]: its loadings are the ones in force at s = 0.25.
+    return DriftEvaluator(setup, build_grid(setup.tenor, 1))
+
+
+def jump_term(evaluator, s, i, state):
+    """J of rate ``i`` at time ``s`` for one state, through the evaluator."""
+    return evaluator.jump_terms(s, np.asarray(state)[None, :])[0, i - 1]
 
 
 class TestLinkWeight:
@@ -45,41 +52,39 @@ class TestLinkWeight:
             assert link_weight(z, 0.5) == pytest.approx(
                 delta_l / (1.0 + delta_l), rel=1e-15)
 
-    def test_jump_factor(self):
-        assert jump_factor(0.3, 0.2, 0.0) == 1.0
-        assert jump_factor(0.3, 0.2, 1.0) == pytest.approx(
-            1.0 + 0.3 * np.expm1(0.2), rel=1e-15)
-
 
 class TestDriftRoutes:
-    def test_routes_agree_at_initial_state(self, setup, initial_state):
+    def test_routes_agree_at_initial_state(self, setup, initial_state,
+                                           evaluator):
         for i in (1, 4, 8, 9):
-            a = drift_cumulant_expansion(0.25, i, initial_state, setup)
+            a = jump_term(evaluator, 0.25, i, initial_state)
             b = drift_quadrature(0.25, i, initial_state, setup)
             assert a == pytest.approx(b, rel=1e-9)
 
-    def test_frozen_regression_rate_8(self, setup, initial_state):
-        a = drift_cumulant_expansion(0.25, 8, initial_state, setup)
+    def test_frozen_regression_rate_8(self, setup, initial_state, evaluator):
+        a = jump_term(evaluator, 0.25, 8, initial_state)
         b = drift_quadrature(0.25, 8, initial_state, setup)
         assert a == 0.008879356025046817
         assert b == pytest.approx(a, rel=1e-12)
 
-    def test_last_rate_has_state_free_jump_term(self, setup, initial_state):
+    def test_last_rate_has_state_free_jump_term(self, setup, initial_state,
+                                                evaluator):
         # no rates after the last one: J collapses to the jump cumulant of
         # its own loading, whatever the state
         p = setup.triplet.jumps
         lam = setup.vols.vol_at(0.25, 9)
         expected = nig_jump_cumulant(lam, p)
-        assert drift_cumulant_expansion(0.25, 9, initial_state, setup) == expected
-        shifted = StateVector(setup.log_initial_rates + 2.0, "log_rate")
-        assert drift_cumulant_expansion(0.25, 9, shifted, setup) == expected
+        assert jump_term(evaluator, 0.25, 9, initial_state) == expected
+        shifted = setup.log_initial_rates + 2.0
+        assert jump_term(evaluator, 0.25, 9, shifted) == expected
 
     def test_last_rate_drift_is_negative_jump_cumulant(self, setup,
-                                                       initial_state):
+                                                       initial_state,
+                                                       evaluator):
         # no Gaussian part in the bundled driver, so b = -J = -kappa(lam)
         p = setup.triplet.jumps
         lam = setup.vols.vol_at(0.25, 9)
-        assert terminal_drift(0.25, 9, initial_state, setup) == \
+        assert evaluator.step_drift(0, initial_state[None, :])[0, 8] == \
             -nig_jump_cumulant(lam, p)
 
     def test_last_rate_quadrature_integral_identity(self, setup,
@@ -90,57 +95,46 @@ class TestDriftRoutes:
         assert drift_quadrature(0.25, 9, initial_state, setup) == \
             pytest.approx(nig_jump_cumulant(lam, p), rel=1e-10)
 
-    def test_collapsed_state_gives_single_rate_drift(self, setup):
+    def test_collapsed_state_gives_single_rate_drift(self, setup, evaluator):
         # all later rates at -inf: every link weight vanishes and J reduces
         # to the jump cumulant of the rate's own loading, exactly
-        dead = StateVector(np.full(9, -np.inf), "log_rate")
+        dead = np.full(9, -np.inf)
         p = setup.triplet.jumps
         lam = setup.vols.vol_at(0.25, 3)
-        assert drift_cumulant_expansion(0.25, 3, dead, setup) == \
+        assert jump_term(evaluator, 0.25, 3, dead) == \
             nig_jump_cumulant(lam, p)
 
-    def test_drift_decreases_when_later_rates_rise(self, setup, initial_state):
+    def test_drift_decreases_when_later_rates_rise(self, setup, initial_state,
+                                                   evaluator):
         # raising any later rate raises its link weight, which raises the
         # compensator J and so lowers the drift
-        base = terminal_drift(0.25, 2, initial_state, setup)
+        base = evaluator.step_drift(0, initial_state[None, :])[0, 1]
         for l in (3, 6, 9):
             bumped = setup.log_initial_rates.copy()
             bumped[l - 1] += 0.5
-            higher = terminal_drift(
-                0.25, 2, StateVector(bumped, "log_rate"), setup)
+            higher = evaluator.step_drift(0, bumped[None, :])[0, 1]
             assert higher < base
 
-    def test_zero_past_fixing(self, setup, initial_state):
-        assert terminal_drift(1.7, 2, initial_state, setup) == 0.0
+    def test_zero_past_fixing(self, setup, initial_state, evaluator):
+        assert jump_term(evaluator, 1.7, 2, initial_state) == 0.0
+        assert drift_quadrature(1.7, 2, initial_state, setup) == 0.0
 
-    def test_zero_loading_collapses_drift(self, setup, initial_state):
+    def test_zero_loading_collapses_drift(self, setup):
         raw = setup_to_dict(setup)
         raw["vols"][2] = 0.0
         quiet = setup_from_dict(raw)
-        state = StateVector(quiet.log_initial_rates, "log_rate")
-        assert terminal_drift(0.25, 3, state, quiet) == 0.0
+        ev = DriftEvaluator(quiet, build_grid(quiet.tenor, 1))
+        b = ev.step_drift(0, quiet.log_initial_rates[None, :])[0]
+        assert b[2] == 0.0
         # other rates still see rate 3 in their compensator products, but
         # with a vanished jump factor contribution
-        assert terminal_drift(0.25, 2, state, quiet) != 0.0
-
-    def test_method_dispatch(self, setup, initial_state):
-        a = terminal_drift(0.25, 5, initial_state, setup,
-                           DriftMethod.CUMULANT_EXPANSION)
-        b = terminal_drift(0.25, 5, initial_state, setup,
-                           DriftMethod.QUADRATURE)
-        assert a == pytest.approx(b, rel=1e-9)
-
-    def test_parse(self):
-        assert DriftMethod.parse("cumulant") is DriftMethod.CUMULANT_EXPANSION
-        assert DriftMethod.parse("quadrature") is DriftMethod.QUADRATURE
-        with pytest.raises(ValueError):
-            DriftMethod.parse("exact")
+        assert b[1] != 0.0
 
 
 class TestDriftEvaluator:
     def test_step_drift_matches_pointwise_route(self, setup):
-        # the vectorized per-step evaluator against the scalar reference,
-        # at the midpoint time convention of the step, on random states
+        # the per-step drift is the jump pass at the step's midpoint
+        # loadings (no Gaussian part here), on random states
         grid = build_grid(setup.tenor, 2)
         ev = DriftEvaluator(setup, grid)
         rng = np.random.default_rng(3)
@@ -148,18 +142,7 @@ class TestDriftEvaluator:
         for k in (0, 3, 10, 17):
             mid = 0.5 * (grid.times[k] + grid.times[k + 1])
             batch = ev.step_drift(k, z)
-            for row in range(5):
-                state = StateVector(z[row], "log_rate")
-                for i in range(1, 10):
-                    assert batch[row, i - 1] == pytest.approx(
-                        terminal_drift(mid, i, state, setup), rel=1e-12,
-                        abs=1e-300)
-
-    def test_frozen_table_matches_free_function(self, setup):
-        grid = build_grid(setup.tenor, 2)
-        ev = DriftEvaluator(setup, grid)
-        assert np.array_equal(ev.frozen_table(),
-                              deterministic_drift_table(grid, setup))
+            assert np.array_equal(batch, -ev.jump_terms(mid, z))
 
     def test_frozen_table_rows_are_initial_state_drifts(self, setup):
         grid = build_grid(setup.tenor, 2)
@@ -170,7 +153,7 @@ class TestDriftEvaluator:
 
     def test_dead_rates_have_zero_drift(self, setup):
         grid = build_grid(setup.tenor, 2)
-        table = deterministic_drift_table(grid, setup)
+        table = DriftEvaluator(setup, grid).frozen_table()
         # after T_1 (step index 2 onward) rate 1 is fixed: zero drift
         assert np.all(table[2:, 0] == 0.0)
         assert table[1, 0] != 0.0
@@ -179,15 +162,16 @@ class TestDriftEvaluator:
         # the last rate never sees a later rate, so its frozen drift is the
         # same state-free value on every step up to the terminal date
         grid = build_grid(setup.tenor, 2)
-        table = deterministic_drift_table(grid, setup)
+        table = DriftEvaluator(setup, grid).frozen_table()
         p = setup.triplet.jumps
         expected = -nig_jump_cumulant(setup.vols.vol_at(0.0, 9), p)
         assert np.all(table[:, 8] == expected)
 
-    def test_quadrature_method_evaluator(self, setup):
-        grid = build_grid(setup.tenor, 1)
-        fast = DriftEvaluator(setup, grid, DriftMethod.CUMULANT_EXPANSION)
-        slow = DriftEvaluator(setup, grid, DriftMethod.QUADRATURE)
-        z = setup.log_initial_rates[None, :]
-        np.testing.assert_allclose(fast.step_drift(0, z), slow.step_drift(0, z),
-                                   rtol=1e-9)
+    def test_quadrature_method_evaluator(self, setup, evaluator):
+        # the engine's step drift against the quadrature oracle at the
+        # step's midpoint, for every rate
+        z = setup.log_initial_rates
+        mid = evaluator.mids[0]
+        slow = [-drift_quadrature(mid, i, z, setup) for i in range(1, 10)]
+        np.testing.assert_allclose(evaluator.step_drift(0, z[None, :])[0],
+                                   slow, rtol=1e-9)

@@ -20,8 +20,10 @@ from levylibor import (
     nig_variance_rate,
     path_rng,
     sample_inverse_gaussian,
+    SimulationEngine,
+    build_grid,
+    bundled_setup,
     sample_nig_increment,
-    simulate_driver_increments,
 )
 from levylibor.driver import ExponentialMomentBound, validate_exponential_moments
 
@@ -184,18 +186,9 @@ class TestPiecewiseConstant:
             PiecewiseConstant(values=(1.0,), breaks=(0.0, 1.0))
 
 
-class TestDriverIncrements:
+class TestTripletIncrements:
     def _triplet(self):
         return LevyTriplet.pure_jump(BENCH)
-
-    def test_shapes_and_moments(self):
-        class Grid:
-            times = np.linspace(0.0, 2.0, 9)
-        rng = np.random.default_rng(5)
-        inc = simulate_driver_increments(Grid(), self._triplet(), rng)
-        assert inc.jump.shape == (8,)
-        assert inc.gauss is None
-        assert inc.dh.shape == (8,)
 
     def test_cumulant_time_dependence(self):
         t = self._triplet()
@@ -204,15 +197,13 @@ class TestDriverIncrements:
         assert t.mean_rate(0.3) == 0.0
 
     def test_variance_over_full_horizon(self):
-        # summed increments over [0, 4.5] carry variance rate * horizon
-        class Grid:
-            times = np.linspace(0.0, 4.5, 37)
-        triplet = self._triplet()
-        totals = np.array([
-            simulate_driver_increments(Grid(), triplet,
-                                       path_rng(314, j)).dh.sum()
-            for j in range(4000)
-        ])
+        # summed increments over [0, 4.5] carry variance rate * horizon; the
+        # bundled driver is BENCH and its grid has 36 steps up to T_9 = 4.5
+        setup = bundled_setup()
+        assert setup.triplet == self._triplet()
+        engine = SimulationEngine(setup, build_grid(setup.tenor, 4))
+        assert engine.grid.n_steps == 36
+        totals = engine.path_increments(314, 0, 4000).sum(axis=1)
         horizon = 4.5 * nig_variance_rate(BENCH)
         assert totals.var() == pytest.approx(horizon, rel=0.15)
         assert abs(totals.mean()) < 4.0 * np.sqrt(horizon / 4000)

@@ -2,9 +2,12 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levylibor import (
     BUNDLED_SETUP,
@@ -12,6 +15,7 @@ from levylibor import (
     DiscountCurve,
     MarketSetup,
     NigParams,
+    SetupValidationReport,
     TenorStructure,
     VolatilityStructure,
     bundled_setup,
@@ -131,7 +135,88 @@ class TestSetupSerialization:
     def test_missing_key_raises(self, setup):
         raw = setup_to_dict(setup)
         del raw["bond_prices"]
-        with pytest.raises((KeyError, ValueError)):
+        with pytest.raises(ValueError, match="'bond_prices'"):
+            setup_from_dict(raw)
+
+    @pytest.mark.parametrize("key, value", [
+        ("nig", None), ("tenor_dates", "0, 0.5"), ("vols", [0.1, "x"]),
+        ("bond_prices", [0.9, math.nan]), ("em", {"M": math.inf})])
+    def test_bad_value_names_its_key(self, setup, key, value):
+        raw = setup_to_dict(setup)
+        raw[key] = value
+        with pytest.raises(ValueError, match=key):
+            setup_from_dict(raw)
+
+
+BUNDLED_RAW = setup_to_dict(bundled_setup())
+JUNK = (None, "x", True, [], {}, [None], {"x": 1.0}, ["0.5"])
+NON_FINITE = (math.nan, math.inf, -math.inf)
+# Finite but out of any sensible range: zero bonds, negative loadings, ...
+EXTREME = (0.0, -1.0, 1e300)
+
+
+def _locations(node, path=()):
+    """Every (path, value) below ``node``; paths are key/index tuples."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _locations(value, path + (key,))
+
+
+def _parent(raw, path):
+    for key in path[:-1]:
+        raw = raw[key]
+    return raw
+
+
+@st.composite
+def mangled_setups(draw):
+    """The bundled setup dict with one to three of: a dropped key, a value
+    of the wrong type, a list of the wrong length, a non-finite or extreme
+    number."""
+    raw = copy.deepcopy(BUNDLED_RAW)
+    for _ in range(draw(st.integers(1, 3))):
+        spots = list(_locations(raw))
+        kind = draw(st.sampled_from(["drop", "type", "length", "number"]))
+        if kind == "drop":
+            spots = [(p, v) for p, v in spots
+                     if isinstance(_parent(raw, p), dict)]
+        elif kind == "length":
+            spots = [(p, v) for p, v in spots if isinstance(v, list)]
+        elif kind == "number":
+            spots = [(p, v) for p, v in spots if isinstance(v, float)]
+        if not spots:
+            continue
+        path, value = draw(st.sampled_from(spots))
+        parent = _parent(raw, path)
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "type":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+        elif kind == "length":
+            size = draw(st.integers(0, len(value) + 2))
+            pad = value[-1] if value else 0.5
+            parent[path[-1]] = (value + [pad, pad])[:size]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(NON_FINITE + EXTREME))
+    return raw
+
+
+class TestMalformedSetups:
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(mangled_setups())
+    def test_report_or_value_error(self, raw):
+        try:
+            setup = setup_from_dict(raw)
+        except ValueError:
+            return
+        assert isinstance(validate_setup(setup), SetupValidationReport)
+
+    @pytest.mark.parametrize("raw", JUNK)
+    def test_junk_setup_is_a_value_error(self, raw):
+        with pytest.raises(ValueError):
             setup_from_dict(raw)
 
 
@@ -155,6 +240,16 @@ class TestValidation:
         report = validate_setup(setup_from_dict(raw))
         assert not report.passed
         assert not report.item("curve_order").passed
+
+    def test_nan_bond_reported_not_raised(self, setup):
+        bonds = list(setup.curve.bonds)
+        bonds[3] = math.nan
+        nan_curve = MarketSetup(tenor=setup.tenor, curve=DiscountCurve(
+            tuple(bonds)), vols=setup.vols, triplet=setup.triplet,
+            em=setup.em)
+        item = validate_setup(nan_curve).item("curve_order")
+        assert not item.passed
+        assert "T_4" in item.detail
 
     def test_vol_sum_violation(self, setup):
         raw = self._raw(setup)

@@ -11,14 +11,13 @@ from levylibor import (
     CapletSpec,
     CouponConvention,
     ImpliedVolError,
-    PathBundle,
     Scheme,
     SwaptionSpec,
     black76_implied_vol,
     black76_price,
-    build_grid,
     bundled_setup,
     caplet_price_last_rate,
+    chain_products,
     compare_schemes,
     forward_swap_rate,
     price_caplet_mc,
@@ -26,7 +25,7 @@ from levylibor import (
     price_swaption_mc,
     setup_from_dict,
     setup_to_dict,
-    swaption_payoff,
+    swaption_payoffs,
     zero_strike_caplet_value,
 )
 
@@ -48,6 +47,8 @@ class TestSpecs:
             CapletSpec(0, 0.05)
         with pytest.raises(ValueError):
             CapletSpec(3, -0.01)
+        with pytest.raises(ValueError):
+            CapletSpec(3, math.nan)
         CapletSpec(3, 0.0)  # zero strike is a legitimate boundary contract
 
     def test_swaption_spec_validation(self):
@@ -55,6 +56,8 @@ class TestSpecs:
             SwaptionSpec(3, 3, 0.05)
         with pytest.raises(ValueError):
             SwaptionSpec(0, 2, 0.05)
+        with pytest.raises(ValueError):
+            SwaptionSpec(2, 4, math.nan)
         SwaptionSpec(2, 4, 0.05, CouponConvention.UNIT)
 
 
@@ -216,13 +219,11 @@ class TestMonteCarloEstimators:
     def test_zero_rate_swaption_is_worthless(self, setup):
         # all rates at zero: the floating leg pays nothing, so a payer
         # swaption has no value at any positive strike
-        fix = np.zeros((9, 9))
-        fix[np.tril_indices(9, k=-1)] = np.nan
-        grid = build_grid(setup.tenor, 1)
-        bundle = PathBundle(scheme=Scheme.FULL_SDE, grid=grid,
-                            log_rates=np.full((9, 10), -np.inf),
-                            fixings=fix, seed=0, path_index=0, valid=True)
-        assert swaption_payoff(bundle, SwaptionSpec(2, 5, 0.05), setup) == 0.0
+        fix = np.zeros((1, 9, 9))
+        fix[0][np.tril_indices(9, k=-1)] = np.nan
+        payoff = swaption_payoffs(chain_products(fix, setup),
+                                  SwaptionSpec(2, 5, 0.05), setup)
+        assert payoff.tolist() == [0.0]
 
 
 class TestCompareSchemes:

@@ -1,7 +1,5 @@
 """Tests for grids, path generation, and the three recursion schemes."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -10,13 +8,10 @@ from levylibor import (
     SimulationEngine,
     build_grid,
     bundled_setup,
-    dump_paths,
     path_rng,
+    sample_nig_increment,
     setup_from_dict,
     setup_to_dict,
-    simulate_driver_increments,
-    simulate_ensemble,
-    simulate_path,
 )
 
 
@@ -75,13 +70,15 @@ class TestIncrements:
         assert np.array_equal(whole, np.vstack([head, tail]))
 
     def test_matches_single_path_driver_route(self, setup, grid, engine):
-        # batch generator and the standalone driver-increment route draw
-        # identically from the same substream
+        # the bundled driver is pure jump and driftless, so each path's
+        # increments are exactly the standalone NIG sampler's draws from
+        # that path's substream
         dh = engine.path_increments(11, 0, 3)
+        dt = np.diff(grid.times)
         for j in range(3):
-            inc = simulate_driver_increments(grid, setup.triplet,
-                                             path_rng(11, j))
-            assert np.array_equal(dh[j], inc.dh)
+            ref = sample_nig_increment(dt, setup.triplet.jumps,
+                                       path_rng(11, j))
+            assert np.array_equal(dh[j], ref)
 
     def test_increment_moments(self, engine, grid):
         dh = engine.path_increments(1, 0, 4000)
@@ -184,47 +181,39 @@ class TestSchemes:
 
 
 class TestEnsembleApi:
-    def test_path_bundle_fields_and_determinism(self, setup, grid):
-        bundles = list(simulate_ensemble(Scheme.FULL_SDE, grid, setup,
-                                         n_paths=5, seed=9))
-        assert [b.path_index for b in bundles] == [0, 1, 2, 3, 4]
-        assert all(b.valid for b in bundles)
-        assert bundles[0].log_rates.shape == (9, grid.n_steps + 1)
-        again = list(simulate_ensemble(Scheme.FULL_SDE, grid, setup,
-                                       n_paths=5, seed=9))
-        for a, b in zip(bundles, again):
-            assert np.array_equal(a.log_rates, b.log_rates)
+    @staticmethod
+    def _simulate(engine, scheme, n_paths, seed, batch_size):
+        """Log paths and fixings of paths 0..n_paths-1, batch by batch."""
+        logs, fixes = [], []
+        for start in range(0, n_paths, batch_size):
+            count = min(batch_size, n_paths - start)
+            dh = engine.path_increments(seed, start, count)
+            log_paths = engine.evolve(scheme, dh)
+            logs.append(log_paths)
+            fixes.append(engine.fixings(log_paths))
+        return np.concatenate(logs), np.concatenate(fixes)
 
-    def test_batch_size_does_not_change_paths(self, setup, grid):
-        small = list(simulate_ensemble(Scheme.STRONG_TAYLOR, grid, setup,
-                                       n_paths=7, seed=9, batch_size=2))
-        big = list(simulate_ensemble(Scheme.STRONG_TAYLOR, grid, setup,
-                                     n_paths=7, seed=9, batch_size=100))
-        for a, b in zip(small, big):
-            assert np.array_equal(a.log_rates, b.log_rates)
-            assert np.array_equal(a.fixings, b.fixings, equal_nan=True)
+    def test_path_bundle_fields_and_determinism(self, engine, grid):
+        logs, fix = self._simulate(engine, Scheme.FULL_SDE, 5, 9, 4096)
+        assert logs.shape == (5, 9, grid.n_steps + 1)
+        assert fix.shape == (5, 9, 9)
+        assert engine.valid_mask(logs, fix).all()
+        again, _ = self._simulate(engine, Scheme.FULL_SDE, 5, 9, 4096)
+        assert np.array_equal(logs, again)
 
-    def test_single_path_matches_ensemble(self, setup, grid):
-        target = list(simulate_ensemble(Scheme.FROZEN_DRIFT, grid, setup,
-                                        n_paths=3, seed=9))[2]
-        alone = simulate_path(Scheme.FROZEN_DRIFT, grid, setup,
-                              path_rng(9, 2), seed=9, path_index=2)
-        assert np.array_equal(alone.log_rates, target.log_rates)
-        assert np.array_equal(alone.fixings, target.fixings, equal_nan=True)
+    def test_batch_size_does_not_change_paths(self, engine):
+        small = self._simulate(engine, Scheme.STRONG_TAYLOR, 7, 9, 2)
+        big = self._simulate(engine, Scheme.STRONG_TAYLOR, 7, 9, 100)
+        assert np.array_equal(small[0], big[0])
+        assert np.array_equal(small[1], big[1], equal_nan=True)
 
-    def test_dump_paths_csv(self, setup, grid):
-        bundles = list(simulate_ensemble(Scheme.FULL_SDE, grid, setup,
-                                         n_paths=2, seed=9))
-        buf = io.StringIO()
-        rows = dump_paths(bundles, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "path,scheme,rate,time,log_rate,valid"
-        assert rows == 2 * 9 * (grid.n_steps + 1)
-        assert len(lines) == rows + 1
-        buf2 = io.StringIO()
-        dump_paths(list(simulate_ensemble(Scheme.FULL_SDE, grid, setup,
-                                          n_paths=2, seed=9)), buf2)
-        assert buf.getvalue() == buf2.getvalue()
+    def test_single_path_matches_ensemble(self, engine):
+        logs, fix = self._simulate(engine, Scheme.FROZEN_DRIFT, 3, 9, 4096)
+        alone = engine.evolve(Scheme.FROZEN_DRIFT,
+                              engine.path_increments(9, 2, 1))
+        assert np.array_equal(alone[0], logs[2])
+        assert np.array_equal(engine.fixings(alone)[0], fix[2],
+                              equal_nan=True)
 
 
 class TestOverflowHandling:
