@@ -35,6 +35,7 @@ from .market import (
     bundled_setup,
     initial_libor,
     load_setup,
+    loading_lattice,
     setup_from_dict,
     setup_to_dict,
     validate_setup,

@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 from . import acceptance
+from .driver import SEED_LIMIT
 from .market import MarketSetup, bundled_setup, load_setup, validate_setup
 from .simulate import Scheme
 from .pricing import (
@@ -64,6 +65,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [0, 2^64), got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, pricing: bool) -> None:
     parser.add_argument("--setup", metavar="FILE", default=None,
                         help="market setup file (default: bundled setup)")
@@ -74,9 +86,9 @@ def _add_common(parser: argparse.ArgumentParser, pricing: bool) -> None:
                         help="simulation scheme (default: full)")
     parser.add_argument("--paths", type=int, default=100_000, metavar="N",
                         help="Monte Carlo paths (default: 100000)")
-    parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
-                        metavar="N", help="master seed; per-path substreams "
-                        "derive from it")
+    parser.add_argument("--seed", type=_seed, default=acceptance.DEFAULT_SEED,
+                        metavar="N", help="master seed in [0, 2^64); per-path "
+                        "substreams derive from it")
     parser.add_argument("--substeps", type=int, default=4, metavar="N",
                         help="time steps per accrual period (default: 4)")
     parser.add_argument("--threads", type=_positive_int, default=1,
@@ -291,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the full bundled-setup experiment and the "
                             "acceptance-criteria summary")
     _add_common(p, pricing=False)
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED,
-                   metavar="N", help="master seed")
+    p.add_argument("--seed", type=_seed, default=acceptance.DEFAULT_SEED,
+                   metavar="N", help="master seed in [0, 2^64)")
     p.add_argument("--substeps", type=int, default=4, metavar="N",
                    help="time steps per accrual period (default: 4)")
     p.add_argument("--threads", type=_positive_int, default=1, metavar="N",

@@ -9,20 +9,22 @@ drift rate
               - lam_i x ) F_s(dx),
 
 where ``u_l = delta_l e^(z_l) / (1 + delta_l e^(z_l))`` links rate ``l`` to
-the chain of forward measures.  Expanding the product turns ``J`` into a
-weighted sum of compensated jump cumulants evaluated at subset sums of the
-loadings:
+the chain of forward measures.  The product is the moment generating
+function ``E[e^(Lam x)]`` of ``Lam = sum_(l>i) B_l lam_l`` with independent
+``B_l ~ Bernoulli(u_l)``, so
 
-    J = kappa(lam_i) + sum_(non-empty S)  (prod_(l in S) u_l)
-            * sum_(R subset of S+{i}) (-1)^(|S|+1-|R|) kappa(Lam_R),
+    J = E[ kappa(lam_i + Lam) - kappa(Lam) ],
 
-with ``Lam_R`` the sum of loadings over ``R``.  The inner sums do not depend
-on the state, so they are precomputed once per loading pattern; evaluating
-the drift then costs one subset-product transform and a dot product per
-rate.  :class:`DriftEvaluator` is the only drift route of the engine.
-:func:`drift_quadrature` integrates the same integrand directly against the
-Levy density; it is far too slow for simulation and serves as the
-independent oracle the evaluator is tested against.
+with ``kappa`` the compensated jump cumulant; the Gaussian cross term
+``sum u_l lam_l`` is ``E[Lam]``.  The loadings are whole multiples of a
+lattice step ``h`` (:func:`~levylibor.market.loading_lattice`), so ``Lam``
+lives on that lattice.  :class:`DriftEvaluator` builds its law per path in
+one pass from the back of the tenor, absorbing one rate per iteration, and
+reduces it against the state-free vector ``kappa(lam_i + x h) - kappa(x h)``:
+O(paths * rates * lattice points) per step.  It is the only drift route of
+the engine.  :func:`drift_quadrature` integrates the same integrand
+directly against the Levy density; it is far too slow for simulation and
+serves as the independent oracle the evaluator is tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .driver import nig_jump_cumulant, nig_levy_density
-from .market import MarketSetup
+from .market import LOADING_QUANTA, MarketSetup, loading_lattice
 
 
 def link_weight(z, accrual: float):
@@ -47,52 +49,23 @@ def link_weight(z, accrual: float):
 
 
 # ---------------------------------------------------------------------------
-# Cumulant expansion: the engine's drift
+# Lattice DP: the engine's drift
 # ---------------------------------------------------------------------------
-
-def _subset_coefficients(lam_i: float, lams_after: tuple[float, ...],
-                         setup: MarketSetup) -> np.ndarray:
-    """State-independent inner sums of the expansion, one per subset.
-
-    ``lams_after`` lists the loadings of the rates later in the tenor in the
-    order the subset-product transform absorbs them; bit ``r`` of a subset
-    index addresses ``lams_after[r]``.  Entry 0 (the empty subset) carries
-    the lone ``kappa(lam_i)`` term.
-    """
-    jumps = setup.triplet.jumps
-    elems = (lam_i,) + tuple(lams_after)
-    # Subset sums over (i, after...) by doubling; bit 0 is rate i itself.
-    sums = np.zeros(1)
-    for lam in elems:
-        sums = np.concatenate([sums, sums + lam])
-    if jumps is None:
-        kappa = np.zeros_like(sums)
-    else:
-        kappa = nig_jump_cumulant(sums, jumps)
-    m = len(lams_after)
-    coeff = np.zeros(1 << m)
-    for c in range(1 << m):
-        t_mask = (c << 1) | 1
-        size_t = bin(t_mask).count("1")
-        acc = 0.0
-        r = t_mask
-        while True:
-            acc += (-1.0) ** (size_t - bin(r).count("1")) * kappa[r]
-            if r == 0:
-                break
-            r = (r - 1) & t_mask
-        coeff[c] = acc
-    return coeff
-
 
 class DriftEvaluator:
     """Drift machinery for one setup on one time grid.
 
-    Precomputes, per grid step, the loadings in force on the open interval
-    and the expansion coefficient tables of every loading pattern they
-    produce; evaluation then runs one pass over the rates from the back of
-    the tenor, growing the subset products incrementally so every rate
-    reuses the products built for the rates after it.
+    Precomputes, per grid step, the loadings in force on the open interval;
+    evaluation runs one pass over the rates from the back of the tenor,
+    carrying each path's law of the summed later loadings on the loading
+    lattice.  The state-free kernel vectors are memoised by loading and
+    lattice range.
+
+    Raises
+    ------
+    ValueError
+        If the setup's loadings are off the loading lattice or need too
+        wide a lattice (:func:`~levylibor.market.loading_lattice`).
     """
 
     def __init__(self, setup: MarketSetup, grid) -> None:
@@ -112,45 +85,74 @@ class DriftEvaluator:
         self.step_gauss = np.array([setup.triplet.gauss(t) for t in mids])
         self.accruals = np.array([setup.tenor.accrual(i)
                                   for i in range(1, n + 1)])
-        # Coefficient tables keyed by loading pattern: the rate's own
-        # loading followed by the live loadings after it, last rate first.
-        # Every step's tables are built here, so step_drift only looks
-        # them up.
-        self._tables: dict[tuple[float, ...], np.ndarray] = {}
-        for lam in self.step_vols:
-            self._columns(lam)
+        self._jumps = setup.triplet.jumps
+        # Lattice step in quanta; a continuous driver has no jump term.
+        self._quanta = (loading_lattice(vols)[0] if self._jumps is not None
+                        else None)
+        self._kernels: dict[tuple[float, int, int], np.ndarray] = {}
 
     @property
     def n_steps(self) -> int:
         return len(self.dt)
 
-    def _columns(self, lam: np.ndarray) -> list[tuple[int, np.ndarray]]:
-        """Live rate columns under loadings ``lam``, last rate first, each
-        with its coefficient table (built on first use)."""
-        out = []
-        after: tuple[float, ...] = ()
-        for col in np.flatnonzero(lam)[::-1]:
-            key = (lam[col],) + after
-            table = self._tables.get(key)
-            if table is None:
-                table = _subset_coefficients(lam[col], after, self.setup)
-                self._tables[key] = table
-            out.append((col, table))
-            after = after + (lam[col],)
-        return out
+    def _kernel(self, lam_i: float, lo: int, hi: int) -> np.ndarray:
+        """``kappa(lam_i + x h) - kappa(x h)`` for lattice points ``x`` in
+        ``lo..hi``."""
+        key = (lam_i, lo, hi)
+        g = self._kernels.get(key)
+        if g is None:
+            x = np.arange(lo, hi + 1) * self._quanta / LOADING_QUANTA
+            g = (nig_jump_cumulant(lam_i + x, self._jumps)
+                 - nig_jump_cumulant(x, self._jumps))
+            # Batch threads may race to build one kernel; both builds are
+            # bitwise equal and setdefault keeps the first.
+            g = self._kernels.setdefault(key, g)
+        return g
 
-    def _jump_pass(self, lam: np.ndarray, z: np.ndarray):
-        """Back-to-front pass under loadings ``lam`` for states ``z``.
+    def _jump_pass(self, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Jump terms under loadings ``lam`` for states ``z``, shape
+        (paths, rates); dead rates get zero.
 
-        Yields ``(col, J, weight)`` per live rate, last rate first: the jump
-        term of that rate and its link weight, one entry per path.
+        Walks the live rates last first.  Row ``x`` of ``p`` holds, per
+        path, the sum over subsets S of the rates already passed with
+        loadings summing to ``x h`` of the product of their odds
+        ``u_l/(1 - u_l) = delta_l e^(z_l)``; ``norm`` is the product of
+        ``1 + odds``, so ``P(Lam = x h) = p[x]/norm``.  Rows are offset so
+        negative sums fit.
         """
-        subset_products = np.ones((z.shape[0], 1))
-        for col, table in self._columns(lam):
-            weight = link_weight(z[:, col], self.accruals[col])
-            yield col, subset_products @ table, weight
-            subset_products = np.concatenate(
-                [subset_products, weight[:, None] * subset_products], axis=1)
+        paths = z.shape[0]
+        if paths == 1:
+            # numpy reduces a lone contiguous column pairwise but wider
+            # blocks row by row; a copy of the path keeps its J bitwise
+            # what it is in any larger batch.
+            return self._jump_pass(lam, np.repeat(z, 2, axis=0))[:1]
+        out = np.zeros((paths, self.n_rates))
+        live = np.flatnonzero(lam)[::-1]
+        if self._jumps is None or live.size == 0:
+            return out
+        units = [round(lam[col] * LOADING_QUANTA) // self._quanta
+                 for col in live]
+        absorbed = units[:-1]
+        origin = -sum(a for a in absorbed if a < 0)
+        p = np.zeros((origin + sum(a for a in absorbed if a > 0) + 1, paths))
+        p[origin] = 1.0
+        norm = np.ones(paths)
+        first = last = origin
+        with np.errstate(over="ignore", invalid="ignore"):
+            odds = np.exp(z[:, live].T) * self.accruals[live, None]
+            for r, (col, a) in enumerate(zip(live, units)):
+                g = self._kernel(float(lam[col]), first - origin,
+                                 last - origin)
+                out[:, col] = np.einsum("jp,j->p", p[first:last + 1], g) / norm
+                if r == len(absorbed):
+                    break
+                p[first + a:last + a + 1] += p[first:last + 1] * odds[r]
+                norm *= 1.0 + odds[r]
+                if a > 0:
+                    last += a
+                else:
+                    first += a
+        return out
 
     def jump_terms(self, s: float, z: np.ndarray) -> np.ndarray:
         """Jump terms J(s, T_i; z) for a batch of states, shape (paths, rates).
@@ -160,10 +162,7 @@ class DriftEvaluator:
         """
         lam = np.array([self.setup.vols.vol_at(s, i)
                         for i in range(1, self.n_rates + 1)])
-        out = np.zeros((z.shape[0], self.n_rates))
-        for col, j_term, _ in self._jump_pass(lam, z):
-            out[:, col] = j_term
-        return out
+        return self._jump_pass(lam, z)
 
     def step_drift(self, k: int, z: np.ndarray) -> np.ndarray:
         """Drift rates b(step k, rate; z) for a batch of states.
@@ -176,15 +175,17 @@ class DriftEvaluator:
         """
         lam = self.step_vols[k]
         c = self.step_gauss[k]
-        out = np.zeros((z.shape[0], self.n_rates))
+        j_terms = self._jump_pass(lam, z)
+        out = np.zeros_like(j_terms)
         gauss_sum = 0.0
-        for col, j_term, weight in self._jump_pass(lam, z):
+        for col in np.flatnonzero(lam)[::-1]:
             if c > 0.0:
                 out[:, col] = (-0.5 * lam[col] * lam[col] * c
-                               - c * lam[col] * gauss_sum - j_term)
-                gauss_sum = gauss_sum + lam[col] * weight
+                               - c * lam[col] * gauss_sum - j_terms[:, col])
+                gauss_sum = gauss_sum + lam[col] * link_weight(
+                    z[:, col], self.accruals[col])
             else:
-                out[:, col] = -j_term
+                out[:, col] = -j_terms[:, col]
         return out
 
     def frozen_table(self, state0: np.ndarray | None = None) -> np.ndarray:

@@ -19,6 +19,10 @@ import numpy as np
 from scipy.special import k1e
 
 
+# Seeds and path indices are the two 64-bit words of a Philox key.
+SEED_LIMIT = 1 << 64
+
+
 class CumulantDomainError(ValueError):
     """Cumulant argument outside the finite exponential-moment domain."""
 
@@ -183,11 +187,17 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     Streams are keyed by ``(seed, path_index)`` through the Philox counter
     generator, so the draws of path ``j`` do not depend on how many paths are
     simulated, in what order, or how work is split across threads.
+
+    Raises
+    ------
+    ValueError
+        If ``seed`` or ``path_index`` lies outside ``[0, 2^64)``.
     """
-    if path_index < 0:
-        raise ValueError("path_index must be nonnegative")
-    mask = (1 << 64) - 1
-    key = np.array([seed & mask, path_index & mask], dtype=np.uint64)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed {seed} outside [0, 2^64)")
+    if not 0 <= path_index < SEED_LIMIT:
+        raise ValueError(f"path_index {path_index} outside [0, 2^64)")
+    key = np.array([seed, path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

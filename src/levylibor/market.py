@@ -30,6 +30,14 @@ from .driver import (
 
 BUNDLED_SETUP = "paper_feb2002"
 
+# The drift's jump term is computed on a lattice of summed loadings (see
+# levylibor.drift).  Loading levels are read in quanta of 1/LOADING_QUANTA;
+# the lattice step is their greatest common step and the lattice may hold
+# at most MAX_LATTICE_POINTS points.  Every loading with three decimals fits
+# while the loadings sum to at most 2.047.
+LOADING_QUANTA = 10**6
+MAX_LATTICE_POINTS = 2048
+
 
 class CurveOrderError(ValueError):
     """Discount curve violates positivity or strict monotonicity."""
@@ -144,6 +152,43 @@ class VolatilityStructure:
         return tuple(self.sup_abs(i) for i in range(1, self.tenor.n_rates + 1))
 
 
+def loading_lattice(vols: VolatilityStructure) -> tuple[int, int]:
+    """Step of the loading lattice, in quanta, and its width in points.
+
+    The step is the greatest common divisor of every loading level counted
+    in quanta of ``1/LOADING_QUANTA``; the width is the number of lattice
+    points between the most negative and the most positive sum of loadings
+    the rates can reach together.  Negative loadings are allowed.
+
+    Raises
+    ------
+    ValueError
+        If a level is not a whole number of quanta, or the width exceeds
+        ``MAX_LATTICE_POINTS``.
+    """
+    step = 0
+    sups = []
+    for i, levels in enumerate(vols.levels, start=1):
+        counts = []
+        for v in levels:
+            scaled = v * LOADING_QUANTA
+            if not math.isfinite(scaled) or abs(scaled - round(scaled)) > 1e-6:
+                raise ValueError(
+                    f"loading {v!r} of rate {i} is not a multiple of "
+                    f"{1 / LOADING_QUANTA:g}")
+            counts.append(abs(round(scaled)))
+            step = math.gcd(step, counts[-1])
+        sups.append(max(counts))
+    if step == 0:
+        return 1, 1
+    points = 1 + sum(sups) // step
+    if points > MAX_LATTICE_POINTS:
+        raise ValueError(
+            f"loadings on a {step / LOADING_QUANTA:g} lattice need {points} "
+            f"points, more than the {MAX_LATTICE_POINTS} allowed")
+    return step, points
+
+
 def initial_libor(curve: DiscountCurve, tenor: TenorStructure) -> np.ndarray:
     """Initial forward rates bootstrapped from the curve.
 
@@ -219,6 +264,8 @@ class MarketSetup:
 
     def initial_rate(self, i: int) -> float:
         """``L(0, T_i)`` for ``i`` in 1..N."""
+        if not 1 <= i <= self.n_rates:
+            raise IndexError(f"rate index {i} outside 1..{self.n_rates}")
         return float(self.initial_rates[i - 1])
 
 
@@ -306,6 +353,16 @@ def validate_setup(setup: MarketSetup) -> SetupValidationReport:
         "moment_domain", em.domain_ok,
         f"required range {em.required:.6g} vs domain halfwidth "
         f"{em.domain_halfwidth:.6g}"))
+
+    try:
+        step, points = loading_lattice(setup.vols)
+    except ValueError as err:
+        items.append(ValidationItem("loading_lattice", False, str(err)))
+    else:
+        items.append(ValidationItem(
+            "loading_lattice", True,
+            f"loadings on a {step / LOADING_QUANTA:g} lattice of {points} "
+            f"points (at most {MAX_LATTICE_POINTS})"))
 
     drift_zero = all(v == 0.0 for v in setup.triplet.drift.values)
     mean = 0.0 if setup.triplet.jumps is None else abs(

@@ -500,7 +500,7 @@ class ComparisonTable:
         writer.writerow(["instrument", "maturity_index", "strike", "scheme",
                          "price", "std_error", "implied_vol",
                          "iv_diff_vs_full", "price_diff_vs_full",
-                         "n_paths", "seed"])
+                         "n_paths", "n_invalid", "seed"])
         for cell in self.cells:
             for scheme in self.schemes:
                 est = cell.estimates[scheme]
@@ -514,7 +514,7 @@ class ComparisonTable:
                     "" if iv is None else f"{iv:.10g}",
                     "" if (ivd is None or is_full) else f"{ivd:.10g}",
                     "" if is_full else f"{cell.price_diff(scheme):.12g}",
-                    est.n_paths, est.seed,
+                    est.n_paths, est.n_invalid, est.seed,
                 ])
 
 

@@ -32,7 +32,7 @@ class TestValidate:
     def test_bundled_setup_passes(self, capsys):
         code, out, _ = run_cli(["validate"], capsys)
         assert code == 0
-        assert out.count("[ok]") == 5
+        assert out.count("[ok]") == 6
 
     def test_bad_setup_fails_with_report(self, tmp_path, capsys):
         raw = setup_to_dict(bundled_setup())
@@ -58,6 +58,52 @@ class TestValidate:
         assert code == 2
         assert err.startswith("error:")
         assert "'nig'" in err
+
+
+def _off_lattice_setup(tmp_path):
+    raw = setup_to_dict(bundled_setup())
+    raw["vols"][4] = 0.1234567
+    path = tmp_path / "off_lattice.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestLoadingLattice:
+    def test_validate_reports_off_lattice_loading(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["validate", "--setup", _off_lattice_setup(tmp_path)], capsys)
+        assert code == 1
+        assert "[FAIL] loading_lattice: loading 0.1234567 of rate 5" in out
+        assert out.count("[ok]") == 5
+
+    def test_pricing_off_lattice_setup_is_a_structured_error(self, tmp_path,
+                                                             capsys):
+        code, out, err = run_cli(
+            ["price-caplets", "--setup", _off_lattice_setup(tmp_path),
+             "--paths", "10"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: loading 0.1234567 of rate 5")
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    @pytest.mark.parametrize("command", ["price-caplets", "reproduce-paper"])
+    def test_seed_outside_64_bits_exits_with_usage(self, command, seed,
+                                                   capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", seed])
+        assert exc.value.code == 2
+        assert "[0, 2^64)" in capsys.readouterr().err
+
+    def test_largest_seed_is_accepted(self, capsys):
+        top = str((1 << 64) - 1)
+        code, out, _ = run_cli(
+            ["price-caplets", "--rate", "9", "--strike", "0.05",
+             "--paths", "10", "--seed", top], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        assert rows[0]["seed"] == top
 
 
 class TestPriceCaplets:
@@ -149,6 +195,8 @@ class TestCompare:
                  "--out", str(out)], capsys)
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+        rows = list(csv.DictReader(out_a.read_text().splitlines()))
+        assert {r["n_invalid"] for r in rows} == {"0"}
 
     def test_surface_files_written(self, tmp_path, capsys):
         prefix = tmp_path / "surf"

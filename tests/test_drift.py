@@ -1,5 +1,10 @@
-"""Tests for the terminal-measure drift: the evaluator, its tables, and
-the quadrature oracle it is checked against."""
+"""Tests for the terminal-measure drift: the evaluator's lattice DP, its
+frozen tables, and the oracles it is checked against."""
+
+import itertools
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -175,3 +180,117 @@ class TestDriftEvaluator:
         slow = [-drift_quadrature(mid, i, z, setup) for i in range(1, 10)]
         np.testing.assert_allclose(evaluator.step_drift(0, z[None, :])[0],
                                    slow, rtol=1e-9)
+
+
+def brute_force_jump_term(setup, s, i, state):
+    """J of rate ``i`` as E[kappa(lam_i + Lam) - kappa(Lam)], enumerating
+    all 2^m outcomes of the Bernoulli variables of the m live later rates."""
+    p = setup.triplet.jumps
+    lam_i = setup.vols.vol_at(s, i)
+    if lam_i == 0.0:
+        return 0.0
+    later = [(setup.vols.vol_at(s, l),
+              link_weight(state[l - 1], setup.tenor.accrual(l)))
+             for l in range(i + 1, setup.n_rates + 1)]
+    later = [(lam, u) for lam, u in later if lam != 0.0]
+    total = 0.0
+    for bits in itertools.product((0, 1), repeat=len(later)):
+        prob = math.prod(u if b else 1.0 - u for b, (_, u) in zip(bits, later))
+        lam_sum = sum(lam for b, (lam, _) in zip(bits, later) if b)
+        total += prob * (nig_jump_cumulant(lam_i + lam_sum, p)
+                         - nig_jump_cumulant(lam_sum, p))
+    return total
+
+
+def regular_setup(loadings, name="regular"):
+    """Semiannual setup with a flat 4% curve and the given per-rate
+    loadings, on the bundled NIG driver."""
+    n = len(loadings)
+    raw = setup_to_dict(bundled_setup())
+    dates = [0.5 * k for k in range(n + 2)]
+    raw.update(name=name, tenor_dates=dates,
+               bond_prices=[math.exp(-0.04 * t) for t in dates[1:]],
+               vols=list(loadings))
+    return setup_from_dict(raw)
+
+
+class TestLatticeDp:
+    @pytest.mark.parametrize("loadings", [
+        [0.20, 0.19, 0.18, 0.17, 0.16, 0.15, 0.14, 0.13, 0.12],
+        # negative loadings sit below the lattice origin
+        [0.1, -0.05, 0.15, 0.02, -0.12, 0.07, 0.2, -0.03, 0.11, 0.09],
+        [0.125, 0.13, 0.005, 0.25],
+    ])
+    def test_matches_brute_force_enumeration(self, loadings):
+        setup = regular_setup(loadings)
+        n = setup.n_rates
+        ev = DriftEvaluator(setup, build_grid(setup.tenor, 2))
+        rng = np.random.default_rng(11)
+        z = setup.log_initial_rates + rng.normal(0.0, 0.8, size=(4, n))
+        for s in (0.1, 0.7, 2.3):
+            dp = ev.jump_terms(s, z)
+            for row, state in enumerate(z):
+                brute = [brute_force_jump_term(setup, s, i, state)
+                         for i in range(1, n + 1)]
+                np.testing.assert_allclose(dp[row], brute, rtol=1e-12,
+                                           atol=1e-17)
+
+    def test_forty_rates_match_quadrature(self):
+        # 20 years semiannual, loadings falling from 0.05 to 0.02 on the
+        # 0.01 lattice: far past what a 2^m subset expansion could hold
+        loadings = [round(5 - 3 * k / 39) / 100 for k in range(40)]
+        setup = regular_setup(loadings, name="forty")
+        ev = DriftEvaluator(setup, build_grid(setup.tenor, 1))
+        rng = np.random.default_rng(5)
+        z = setup.log_initial_rates + rng.normal(0.0, 0.5, size=40)
+        for s, rates in ((0.3, (1, 2, 20, 39, 40)), (9.7, (20, 31))):
+            dp = ev.jump_terms(s, z[None, :])[0]
+            for i in rates:
+                assert dp[i - 1] == pytest.approx(
+                    drift_quadrature(s, i, z, setup), rel=1e-9)
+
+    def test_off_lattice_setup_is_rejected(self, setup):
+        raw = setup_to_dict(setup)
+        raw["vols"][4] = 0.1234567
+        off = setup_from_dict(raw)
+        with pytest.raises(ValueError, match="not a multiple"):
+            DriftEvaluator(off, build_grid(off.tenor, 1))
+
+    def test_too_wide_lattice_is_rejected(self, setup):
+        # every level is on the quantum, but their common step is 1e-6
+        raw = setup_to_dict(setup)
+        raw["vols"][4] = 0.160001
+        wide = setup_from_dict(raw)
+        with pytest.raises(ValueError, match="points"):
+            DriftEvaluator(wide, build_grid(wide.tenor, 1))
+
+    def test_threads_share_the_kernel_memo(self, setup):
+        # more threads than cores race to fill a fresh evaluator's kernel
+        # memo; every thread must see the single-threaded jump terms
+        grid = build_grid(setup.tenor, 3)
+        z = setup.log_initial_rates + np.random.default_rng(4).normal(
+            0.0, 0.5, size=(3, 9))
+        times = np.linspace(0.0, 4.5, 41)
+        expected = DriftEvaluator(setup, grid)
+        want = [expected.jump_terms(s, z) for s in times]
+        shared = DriftEvaluator(setup, grid)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: [shared.jump_terms(s, z)
+                                                for s in times])
+                           for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        for got in results:
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_lone_path_matches_its_batch_row(self, setup, evaluator):
+        rng = np.random.default_rng(2)
+        z = setup.log_initial_rates + rng.normal(0.0, 0.5, size=(6, 9))
+        batch = evaluator.step_drift(0, z)
+        for row in range(6):
+            assert np.array_equal(evaluator.step_drift(0, z[row:row + 1])[0],
+                                  batch[row])

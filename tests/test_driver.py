@@ -141,6 +141,16 @@ class TestSamplers:
         b = sample_nig_increment(0.5, BENCH, rng, size=100_000)
         assert ks_2samp(a, b).pvalue > 0.01
 
+    @pytest.mark.parametrize("seed, index", [
+        (-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)])
+    def test_path_rng_rejects_keys_outside_64_bits(self, seed, index):
+        with pytest.raises(ValueError):
+            path_rng(seed, index)
+
+    def test_path_rng_accepts_the_largest_key(self):
+        top = (1 << 64) - 1
+        assert np.isfinite(path_rng(top, top).standard_normal())
+
     def test_path_rng_substreams(self):
         a1 = path_rng(42, 7).standard_normal(8)
         a2 = path_rng(42, 7).standard_normal(8)

@@ -21,6 +21,7 @@ from levylibor import (
     bundled_setup,
     initial_libor,
     load_setup,
+    loading_lattice,
     setup_from_dict,
     setup_to_dict,
     validate_setup,
@@ -227,7 +228,9 @@ class TestValidation:
         names = [item.name for item in report.items]
         assert names == ["curve_order", "initial_rates_positive",
                          "volatility_sum", "moment_domain",
-                         "driver_driftless"]
+                         "loading_lattice", "driver_driftless"]
+        assert report.item("loading_lattice").detail == (
+            "loadings on a 0.01 lattice of 145 points (at most 2048)")
         assert all("[ok]" in line for line in report.lines())
         assert report.as_dict()["passed"] is True
 
@@ -264,6 +267,31 @@ class TestValidation:
         assert not report.item("moment_domain").passed
         assert report.item("volatility_sum").passed
 
+    def test_off_lattice_loading_reported_not_raised(self, setup):
+        raw = self._raw(setup)
+        raw["vols"][4] = 0.1234567
+        report = validate_setup(setup_from_dict(raw))
+        item = report.item("loading_lattice")
+        assert not item.passed
+        assert "0.1234567 of rate 5" in item.detail
+        assert report.item("volatility_sum").passed
+
+    def test_negative_loadings_widen_the_lattice(self, setup):
+        raw = self._raw(setup)
+        raw["vols"][0] = -0.2
+        _, points = loading_lattice(setup_from_dict(raw).vols)
+        assert points == loading_lattice(setup.vols)[1] == 145
+
+    @pytest.mark.parametrize("levels, expected", [
+        ([0.2, 0.13], (10_000, 34)),
+        ([0.125, -0.005], (5_000, 27)),
+        ([0.0, 0.0], (1, 1)),
+    ])
+    def test_lattice_step_is_the_common_step(self, levels, expected):
+        tenor = TenorStructure.regular(len(levels))
+        vols = VolatilityStructure.flat_per_rate(tenor, levels)
+        assert loading_lattice(vols) == expected
+
     def test_drifting_driver_flagged(self, setup):
         raw = self._raw(setup)
         raw["nig"]["mu"] = 0.02
@@ -278,6 +306,11 @@ class TestStructuralChecks:
             MarketSetup(tenor=tenor,
                         curve=DiscountCurve(setup.curve.bonds[:-1]),
                         vols=setup.vols, triplet=setup.triplet, em=setup.em)
+
+    @pytest.mark.parametrize("i", [0, 10, -1])
+    def test_initial_rate_index_is_checked(self, setup, i):
+        with pytest.raises(IndexError):
+            setup.initial_rate(i)
 
     def test_initial_rates_read_only(self, setup):
         with pytest.raises(ValueError):

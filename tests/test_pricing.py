@@ -1,6 +1,8 @@
 """Tests for payoffs, Black-76 quoting, the quadrature oracle, and the
 Monte Carlo estimators."""
 
+import csv
+import dataclasses
 import io
 import math
 
@@ -257,6 +259,23 @@ class TestCompareSchemes:
         header = buf_a.getvalue().splitlines()[0].split(",")
         assert header[:4] == ["instrument", "maturity_index", "strike",
                               "scheme"]
+
+    def test_csv_counts_invalid_paths(self, setup):
+        # overflowed paths are dropped from the estimators; the CSV says
+        # how many, per scheme
+        table = compare_schemes(setup, n_paths=40, seed=23, substeps=1,
+                                moneyness=(1.0,))
+        cell = table.cells[0]
+        cell.estimates[Scheme.FROZEN_DRIFT] = dataclasses.replace(
+            cell.estimates[Scheme.FROZEN_DRIFT], n_paths=37, n_invalid=3)
+        buf = io.StringIO()
+        table.write_csv(buf)
+        rows = list(csv.DictReader(buf.getvalue().splitlines()))
+        assert [(r["scheme"], r["n_paths"], r["n_invalid"])
+                for r in rows[:3]] == [("full", "40", "0"),
+                                       ("frozen", "37", "3"),
+                                       ("taylor", "40", "0")]
+        assert all(r["n_invalid"] == "0" for r in rows[3:])
 
     def test_requires_full_scheme(self, setup):
         with pytest.raises(ValueError):

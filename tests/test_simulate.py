@@ -207,6 +207,20 @@ class TestEnsembleApi:
         assert np.array_equal(small[0], big[0])
         assert np.array_equal(small[1], big[1], equal_nan=True)
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("scheme", [Scheme.FULL_SDE,
+                                        Scheme.STRONG_TAYLOR])
+    def test_state_dependent_schemes_ignore_batch_size(self, engine, scheme,
+                                                       seed):
+        # the drift of paths 0-8 must not depend on which paths share its
+        # batch, down to a lone path (a BLAS matrix-vector reduction once
+        # moved the last bit at these seeds)
+        ref = self._simulate(engine, scheme, 9, seed, 9)
+        for batch_size in (1, 2, 3):
+            logs, fix = self._simulate(engine, scheme, 9, seed, batch_size)
+            assert np.array_equal(logs, ref[0])
+            assert np.array_equal(fix, ref[1], equal_nan=True)
+
     def test_single_path_matches_ensemble(self, engine):
         logs, fix = self._simulate(engine, Scheme.FROZEN_DRIFT, 3, 9, 4096)
         alone = engine.evolve(Scheme.FROZEN_DRIFT,
