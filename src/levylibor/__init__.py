@@ -14,12 +14,12 @@ from .driver import (
     LevyTriplet,
     NigParams,
     PiecewiseConstant,
+    block_rng,
     nig_cumulant,
     nig_jump_cumulant,
     nig_levy_density,
     nig_mean_rate,
     nig_variance_rate,
-    path_rng,
     sample_inverse_gaussian,
     sample_nig_increment,
     validate_exponential_moments,

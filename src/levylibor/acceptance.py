@@ -282,7 +282,6 @@ def build_comparison(
     seed: int = DEFAULT_SEED,
     n_paths: int = _FULL_SCALE_COMPARISON_PATHS,
     substeps: int = DEFAULT_SUBSTEPS,
-    threads: int = 1,
 ) -> ComparisonTable:
     """Run the shared three-scheme comparison used by criteria 5-7.
 
@@ -290,7 +289,7 @@ def build_comparison(
     random numbers), caplets for every live maturity across the default
     moneyness grid, and the eight swaption contracts.
     """
-    return compare_schemes(setup, n_paths, seed, substeps=substeps, threads=threads)
+    return compare_schemes(setup, n_paths, seed, substeps=substeps)
 
 
 def criterion_taylor_iv_accuracy(
@@ -597,7 +596,6 @@ def run_all(
     seed: int = DEFAULT_SEED,
     paths_scale: float = 1.0,
     substeps: int = DEFAULT_SUBSTEPS,
-    threads: int = 1,
     on_table=None,
 ) -> Sequence[CriterionResult]:
     """Run all eight acceptance criteria and return their results.
@@ -624,7 +622,7 @@ def run_all(
         criterion_drift_route_agreement(setup, seed),
     ]
     t0 = time.perf_counter()
-    table = build_comparison(setup, seed, scaled(_FULL_SCALE_COMPARISON_PATHS), substeps, threads)
+    table = build_comparison(setup, seed, scaled(_FULL_SCALE_COMPARISON_PATHS), substeps)
     build_seconds = time.perf_counter() - t0
     if on_table is not None:
         on_table(table)

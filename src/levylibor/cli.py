@@ -12,7 +12,7 @@ Subcommands:
   writes the comparison artifacts.
 
 All randomness flows from ``--seed``; outputs are byte-deterministic for a
-fixed configuration and results do not depend on ``--threads``.
+fixed configuration.
 """
 
 from __future__ import annotations
@@ -55,16 +55,6 @@ def _parse_moneyness(text: str) -> tuple[float, ...]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _seed(text: str) -> int:
     try:
         value = int(text)
@@ -87,13 +77,10 @@ def _add_common(parser: argparse.ArgumentParser, pricing: bool) -> None:
     parser.add_argument("--paths", type=int, default=100_000, metavar="N",
                         help="Monte Carlo paths (default: 100000)")
     parser.add_argument("--seed", type=_seed, default=acceptance.DEFAULT_SEED,
-                        metavar="N", help="master seed in [0, 2^64); per-path "
-                        "substreams derive from it")
+                        metavar="N", help="master seed in [0, 2^64); the random "
+                        "stream of each block of paths derives from it")
     parser.add_argument("--substeps", type=int, default=4, metavar="N",
                         help="time steps per accrual period (default: 4)")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        metavar="N",
-                        help="worker threads for path batches (default: 1)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="output CSV path (default: stdout)")
 
@@ -150,8 +137,7 @@ def _cmd_price_caplets(args: argparse.Namespace) -> int:
     scheme = Scheme.parse(args.scheme)
     specs = [CapletSpec(i, strike) for i, strike in _caplet_strikes(setup, args)]
     results = price_instruments_mc(
-        setup, specs, [], [scheme], args.paths, args.seed, args.substeps,
-        threads=args.threads)
+        setup, specs, [], [scheme], args.paths, args.seed, args.substeps)
     estimates = results[scheme][0]
     rows = [("caplet", spec.maturity_index, None, spec.strike, est)
             for spec, est in zip(specs, estimates)]
@@ -180,8 +166,7 @@ def _cmd_price_swaptions(args: argparse.Namespace) -> int:
     scheme = Scheme.parse(args.scheme)
     specs = list(_swaption_specs(setup, args))
     results = price_instruments_mc(
-        setup, [], specs, [scheme], args.paths, args.seed, args.substeps,
-        threads=args.threads)
+        setup, [], specs, [scheme], args.paths, args.seed, args.substeps)
     estimates = results[scheme][1]
     rows = [(f"swaption_{s.expiry_index}_{s.end_index}", s.expiry_index,
              s.end_index, s.strike, est)
@@ -208,8 +193,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     schemes = tuple(Scheme.parse(tok) for tok in args.schemes.split(","))
     table = compare_schemes(
         setup, args.paths, args.seed, substeps=args.substeps,
-        moneyness=args.moneyness,
-        schemes=schemes, threads=args.threads)
+        moneyness=args.moneyness, schemes=schemes)
     with _open_out(args.out) as fh:
         table.write_csv(fh)
     if args.surface_out is not None:
@@ -236,7 +220,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
     results = acceptance.run_all(
         setup, seed=args.seed, paths_scale=args.paths_scale,
-        substeps=args.substeps, threads=args.threads, on_table=emit)
+        substeps=args.substeps, on_table=emit)
     for result in results:
         for line in result.lines():
             print(line)
@@ -307,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N", help="master seed in [0, 2^64)")
     p.add_argument("--substeps", type=int, default=4, metavar="N",
                    help="time steps per accrual period (default: 4)")
-    p.add_argument("--threads", type=_positive_int, default=1, metavar="N",
-                   help="worker threads for path batches (default: 1)")
     p.add_argument("--paths-scale", type=float, default=1.0, metavar="X",
                    help="rescale all path counts (smoke runs only)")
     p.add_argument("--out-dir", default=".", metavar="DIR",

@@ -104,7 +104,7 @@ class DriftEvaluator:
             x = np.arange(lo, hi + 1) * self._quanta / LOADING_QUANTA
             g = (nig_jump_cumulant(lam_i + x, self._jumps)
                  - nig_jump_cumulant(x, self._jumps))
-            # Batch threads may race to build one kernel; both builds are
+            # Callers' threads may race to build one kernel; both builds are
             # bitwise equal and setdefault keeps the first.
             g = self._kernels.setdefault(key, g)
         return g

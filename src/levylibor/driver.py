@@ -4,7 +4,7 @@ The driving process H is described by piecewise-constant local
 characteristics (b, c, F): a deterministic drift rate, a Gaussian variance
 rate and a normal inverse Gaussian (NIG) jump measure.  Everything the rest
 of the engine needs from H lives here: cumulant functions, exact increment
-sampling, per-path random substreams and the exponential-moment checks that
+sampling, per-block random streams and the exponential-moment checks that
 make the forward-rate construction well defined.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import k1e
 
 
-# Seeds and path indices are the two 64-bit words of a Philox key.
+# Seeds and block indices are the two 64-bit words of a Philox key.
 SEED_LIMIT = 1 << 64
 
 
@@ -181,23 +181,26 @@ def sample_nig_increment(dt, p: NigParams, rng: np.random.Generator, size=None):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Independent random substream for one simulated path.
+def block_rng(seed: int, block: int) -> np.random.Generator:
+    """Random stream for one block of consecutive simulated paths.
 
-    Streams are keyed by ``(seed, path_index)`` through the Philox counter
-    generator, so the draws of path ``j`` do not depend on how many paths are
-    simulated, in what order, or how work is split across threads.
+    Streams are keyed by ``(seed, block)`` through the Philox counter
+    generator (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+    SC'11).  The engine gives block ``b`` to paths ``b * RNG_BLOCK`` to
+    ``(b + 1) * RNG_BLOCK - 1`` and always draws the whole block, so the draws
+    of a path do not depend on how many paths are simulated, in what order,
+    or in what batches.
 
     Raises
     ------
     ValueError
-        If ``seed`` or ``path_index`` lies outside ``[0, 2^64)``.
+        If ``seed`` or ``block`` lies outside ``[0, 2^64)``.
     """
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
-    if not 0 <= path_index < SEED_LIMIT:
-        raise ValueError(f"path_index {path_index} outside [0, 2^64)")
-    key = np.array([seed, path_index], dtype=np.uint64)
+    if not 0 <= block < SEED_LIMIT:
+        raise ValueError(f"block {block} outside [0, 2^64)")
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -12,7 +12,6 @@ volatilities for like-for-like scheme comparisons.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -323,7 +322,7 @@ def price_instruments_mc(setup: MarketSetup,
                          swaptions: Sequence[SwaptionSpec],
                          schemes: Sequence[Scheme],
                          n_paths: int, seed: int, substeps: int = 4,
-                         batch_size: int = DEFAULT_BATCH, threads: int = 1
+                         batch_size: int = DEFAULT_BATCH
                          ) -> dict[Scheme, tuple[list[McEstimate],
                                                  list[McEstimate]]]:
     """Price many instruments under several schemes on shared increments.
@@ -347,14 +346,14 @@ def price_instruments_mc(setup: MarketSetup,
         for s in schemes
     }
 
-    def batch_stats(start: int, count: int):
+    need_stage1 = any(s in (Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR)
+                      for s in schemes)
+
+    # One call per batch, so a batch's trajectories are freed before the
+    # next batch allocates its own.
+    def add_batch(start: int, count: int) -> None:
         dh = engine.path_increments(seed, start, count)
-        out = {}
-        stage1 = None
-        need_stage1 = any(s in (Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR)
-                          for s in schemes)
-        if need_stage1:
-            stage1 = engine.evolve(Scheme.FROZEN_DRIFT, dh)
+        stage1 = engine.evolve(Scheme.FROZEN_DRIFT, dh) if need_stage1 else None
         for scheme in schemes:
             if scheme is Scheme.FROZEN_DRIFT:
                 log_paths = stage1
@@ -373,26 +372,14 @@ def price_instruments_mc(setup: MarketSetup,
                 for spec in swaptions
             ]
             n_valid = int(valid.sum())
-            sums = np.array([p.sum() for p in payoffs])
-            sums_sq = np.array([(p * p).sum() for p in payoffs])
-            out[scheme] = (sums, sums_sq, n_valid, count - n_valid)
-        return out
-
-    starts = [(s, min(batch_size, n_paths - s))
-              for s in range(0, n_paths, batch_size)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda sc: batch_stats(*sc), starts))
-    else:
-        results = [batch_stats(*sc) for sc in starts]
-    # Reduction happens in batch order whatever the executor did.
-    for res in results:
-        for scheme, (sums, sums_sq, n_valid, n_invalid) in res.items():
             a = acc[scheme]
-            a.total += sums
-            a.total_sq += sums_sq
+            a.total += np.array([p.sum() for p in payoffs])
+            a.total_sq += np.array([(p * p).sum() for p in payoffs])
             a.n_valid += n_valid
-            a.n_invalid += n_invalid
+            a.n_invalid += count - n_valid
+
+    for start in range(0, n_paths, batch_size):
+        add_batch(start, min(batch_size, n_paths - start))
 
     out: dict[Scheme, tuple[list[McEstimate], list[McEstimate]]] = {}
     for scheme in schemes:
@@ -418,21 +405,17 @@ def price_instruments_mc(setup: MarketSetup,
 
 def price_caplet_mc(setup: MarketSetup, spec: CapletSpec, scheme: Scheme,
                     n_paths: int, seed: int, substeps: int = 4,
-                    batch_size: int = DEFAULT_BATCH,
-                    threads: int = 1) -> McEstimate:
+                    batch_size: int = DEFAULT_BATCH) -> McEstimate:
     res = price_instruments_mc(setup, [spec], [], [scheme], n_paths, seed,
-                               substeps, batch_size=batch_size,
-                               threads=threads)
+                               substeps, batch_size=batch_size)
     return res[scheme][0][0]
 
 
 def price_swaption_mc(setup: MarketSetup, spec: SwaptionSpec, scheme: Scheme,
                       n_paths: int, seed: int, substeps: int = 4,
-                      batch_size: int = DEFAULT_BATCH,
-                      threads: int = 1) -> McEstimate:
+                      batch_size: int = DEFAULT_BATCH) -> McEstimate:
     res = price_instruments_mc(setup, [], [spec], [scheme], n_paths, seed,
-                               substeps, batch_size=batch_size,
-                               threads=threads)
+                               substeps, batch_size=batch_size)
     return res[scheme][1][0]
 
 
@@ -543,8 +526,7 @@ def compare_schemes(setup: MarketSetup, n_paths: int, seed: int,
                                                  Scheme.FROZEN_DRIFT,
                                                  Scheme.STRONG_TAYLOR),
                     convention: CouponConvention = CouponConvention.ACCRUAL,
-                    batch_size: int = DEFAULT_BATCH,
-                    threads: int = 1) -> ComparisonTable:
+                    batch_size: int = DEFAULT_BATCH) -> ComparisonTable:
     """Price the caplet and swaption grids under every scheme on common
     random numbers and quote caplets as Black-76 implied vols."""
     if Scheme.FULL_SDE not in schemes:
@@ -573,7 +555,7 @@ def compare_schemes(setup: MarketSetup, n_paths: int, seed: int,
 
     results = price_instruments_mc(setup, caplet_specs, swaption_specs,
                                    schemes, n_paths, seed, substeps,
-                                   batch_size=batch_size, threads=threads)
+                                   batch_size=batch_size)
 
     n_caplets = len(caplet_specs)
     for scheme in schemes:

@@ -16,8 +16,13 @@ identical driver increments, so runs at the same seed are coupled pathwise;
 the last rate has a state-free drift and is produced by the same arithmetic
 in every scheme, bit for bit.  Loadings appearing in a step are the ones in
 force on the open interval (read at the midpoint), so a rate stays exactly
-constant from its fixing date on.  The driver increments of path ``j`` at
-seed ``s`` depend only on ``(s, j)``, whatever the batch they are drawn in.
+constant from its fixing date on.
+
+Driver increments are drawn a block of ``RNG_BLOCK`` consecutive paths at a
+time: path ``j`` at seed ``s`` is row ``j % RNG_BLOCK`` of the block
+``j // RNG_BLOCK``, drawn whole from the Philox stream keyed by
+``(s, j // RNG_BLOCK)``.  So the increments of path ``j`` depend only on
+``(s, j)``, whatever the batch they are drawn in.
 """
 
 from __future__ import annotations
@@ -28,10 +33,12 @@ from enum import Enum
 import numpy as np
 
 from .drift import DriftEvaluator
-from .driver import path_rng, sample_inverse_gaussian
+from .driver import SEED_LIMIT, block_rng, sample_nig_increment
 from .market import MarketSetup, TenorStructure
 
 DEFAULT_BATCH = 4096
+# Paths per random stream; fixed, so no batch size can move a path's draws.
+RNG_BLOCK = 1024
 
 
 class Scheme(Enum):
@@ -113,10 +120,6 @@ class SimulationEngine:
         gauss = np.array([triplet.gauss(t) for t in mids])
         self._gauss_sd = np.sqrt(gauss * self.dt) if triplet.has_gauss else None
         self._jumps = triplet.jumps
-        if self._jumps is not None:
-            scaled = self._jumps.delta * self.dt
-            self._ig_mean = scaled / self._jumps.gamma
-            self._ig_shape = scaled * scaled
 
     # -- driver increments -------------------------------------------------
 
@@ -124,23 +127,36 @@ class SimulationEngine:
                         count: int) -> np.ndarray:
         """Total driver increments dH for paths ``first_index`` onward.
 
-        Each path draws from its own substream, Gaussian part first; the
-        jump part is drawn exactly as
-        :func:`~levylibor.driver.sample_nig_increment` draws it from the
-        same substream.
+        Every block of ``RNG_BLOCK`` paths the batch touches is drawn whole
+        from :func:`~levylibor.driver.block_rng` ``(seed, block)``, Gaussian
+        part first (one ``(RNG_BLOCK, steps)`` standard normal array), then
+        the jump part by
+        :func:`~levylibor.driver.sample_nig_increment`; the batch's rows are
+        sliced out.
+
+        Raises
+        ------
+        ValueError
+            If a path index lies outside ``[0, 2^64)``.
         """
+        stop = first_index + count
+        if first_index < 0 or stop > SEED_LIMIT:
+            raise ValueError(f"path indices {first_index}..{stop - 1} "
+                             f"outside [0, 2^64)")
         k = len(self.dt)
         out = np.empty((count, k))
-        for j in range(count):
-            rng = path_rng(seed, first_index + j)
-            dh = self._drift_dt.copy()
+        for block in range(first_index // RNG_BLOCK,
+                           (stop + RNG_BLOCK - 1) // RNG_BLOCK):
+            rng = block_rng(seed, block)
+            dh = np.broadcast_to(self._drift_dt, (RNG_BLOCK, k)).copy()
             if self._gauss_sd is not None:
-                dh += self._gauss_sd * rng.standard_normal(k)
+                dh += self._gauss_sd * rng.standard_normal((RNG_BLOCK, k))
             if self._jumps is not None:
-                z = sample_inverse_gaussian(self._ig_mean, self._ig_shape, rng)
-                dh += (self._jumps.mu * self.dt + self._jumps.beta * z
-                       + np.sqrt(z) * rng.standard_normal(k))
-            out[j] = dh
+                dh += sample_nig_increment(self.dt, self._jumps, rng,
+                                           size=(RNG_BLOCK, k))
+            base = block * RNG_BLOCK
+            lo, hi = max(first_index, base), min(stop, base + RNG_BLOCK)
+            out[lo - first_index:hi - first_index] = dh[lo - base:hi - base]
         return out
 
     # -- log-rate recursions -----------------------------------------------

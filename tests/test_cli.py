@@ -223,18 +223,6 @@ class TestParser:
             build_parser().parse_args(["price-caplets", "--scheme", "euler"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["price-caplets", "--threads", "0"],
-        ["price-caplets", "--threads", "-3"],
-        ["compare", "--threads", "0"],
-        ["reproduce-paper", "--threads", "0"],
-    ])
-    def test_threads_below_one_exit_with_usage(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
-
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

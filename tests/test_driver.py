@@ -18,9 +18,9 @@ from levylibor import (
     nig_levy_density,
     nig_mean_rate,
     nig_variance_rate,
-    path_rng,
     sample_inverse_gaussian,
     SimulationEngine,
+    block_rng,
     build_grid,
     bundled_setup,
     sample_nig_increment,
@@ -141,21 +141,40 @@ class TestSamplers:
         b = sample_nig_increment(0.5, BENCH, rng, size=100_000)
         assert ks_2samp(a, b).pvalue > 0.01
 
+    @pytest.fixture(scope="class")
+    def engine(self):
+        setup = bundled_setup()
+        return SimulationEngine(setup, build_grid(setup.tenor, 1))
+
     @pytest.mark.parametrize("seed, index", [
         (-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64)])
-    def test_path_rng_rejects_keys_outside_64_bits(self, seed, index):
+    def test_path_rng_rejects_keys_outside_64_bits(self, engine, seed, index):
+        # a path's draws are keyed by (seed, path index), its block's
+        # stream by (seed, block); both are pairs of 64-bit words
         with pytest.raises(ValueError):
-            path_rng(seed, index)
+            block_rng(seed, index)
+        with pytest.raises(ValueError):
+            engine.path_increments(seed, index, 1)
 
-    def test_path_rng_accepts_the_largest_key(self):
+    def test_path_rng_accepts_the_largest_key(self, engine):
         top = (1 << 64) - 1
-        assert np.isfinite(path_rng(top, top).standard_normal())
+        assert np.isfinite(block_rng(top, top).standard_normal())
+        assert np.isfinite(engine.path_increments(top, top, 1)).all()
 
-    def test_path_rng_substreams(self):
-        a1 = path_rng(42, 7).standard_normal(8)
-        a2 = path_rng(42, 7).standard_normal(8)
-        b = path_rng(42, 8).standard_normal(8)
-        c = path_rng(43, 7).standard_normal(8)
+    def test_path_rng_substreams(self, engine):
+        a1 = engine.path_increments(42, 7, 1)
+        a2 = engine.path_increments(42, 7, 1)
+        b = engine.path_increments(42, 8, 1)
+        c = engine.path_increments(43, 7, 1)
+        assert np.array_equal(a1, a2)
+        assert not np.array_equal(a1, b)
+        assert not np.array_equal(a1, c)
+
+    def test_block_rng_streams(self):
+        a1 = block_rng(42, 7).standard_normal(8)
+        a2 = block_rng(42, 7).standard_normal(8)
+        b = block_rng(42, 8).standard_normal(8)
+        c = block_rng(43, 7).standard_normal(8)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
         assert not np.array_equal(a1, c)

@@ -168,15 +168,6 @@ class TestMonteCarloEstimators:
                             n_paths=2000, seed=11)
         assert (a.price, a.std_error) == (b.price, b.std_error)
 
-    def test_thread_count_does_not_change_results(self, setup):
-        kwargs = dict(n_paths=4000, seed=11, substeps=2)
-        one = price_caplet_mc(setup, CapletSpec(4, 0.05), Scheme.FULL_SDE,
-                              threads=1, **kwargs)
-        four = price_caplet_mc(setup, CapletSpec(4, 0.05), Scheme.FULL_SDE,
-                               threads=4, **kwargs)
-        assert one.price == four.price
-        assert one.std_error == four.std_error
-
     def test_single_period_swaption_equals_caplet(self, setup):
         strike = setup.initial_rate(6)
         kwargs = dict(n_paths=3000, seed=13, substeps=2)

@@ -1,18 +1,24 @@
 """Tests for grids, path generation, and the three recursion schemes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from levylibor import (
+    LevyTriplet,
+    PiecewiseConstant,
     Scheme,
     SimulationEngine,
+    block_rng,
     build_grid,
     bundled_setup,
-    path_rng,
+    nig_variance_rate,
     sample_nig_increment,
     setup_from_dict,
     setup_to_dict,
 )
+from levylibor.simulate import RNG_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -70,21 +76,66 @@ class TestIncrements:
         assert np.array_equal(whole, np.vstack([head, tail]))
 
     def test_matches_single_path_driver_route(self, setup, grid, engine):
-        # the bundled driver is pure jump and driftless, so each path's
-        # increments are exactly the standalone NIG sampler's draws from
-        # that path's substream
-        dh = engine.path_increments(11, 0, 3)
+        # the bundled driver is pure jump and driftless, so each block of
+        # paths is exactly the standalone NIG sampler's draw from that
+        # block's stream
         dt = np.diff(grid.times)
-        for j in range(3):
+        dh = engine.path_increments(11, 0, 2 * RNG_BLOCK)
+        for b in range(2):
             ref = sample_nig_increment(dt, setup.triplet.jumps,
-                                       path_rng(11, j))
-            assert np.array_equal(dh[j], ref)
+                                       block_rng(11, b),
+                                       size=(RNG_BLOCK, grid.n_steps))
+            assert np.array_equal(dh[b * RNG_BLOCK:(b + 1) * RNG_BLOCK], ref)
 
-    def test_increment_moments(self, engine, grid):
-        dh = engine.path_increments(1, 0, 4000)
-        # driftless driver: mean 0, var delta/alpha * dt per step
+    @pytest.mark.parametrize("batch", [1, 3, 7, 21])
+    def test_batches_across_a_block_boundary(self, engine, batch):
+        first, count = RNG_BLOCK - 9, 21
+        whole = engine.path_increments(5, first, count)
+        parts = [engine.path_increments(5, start, batch)
+                 for start in range(first, first + count, batch)]
+        assert np.array_equal(np.vstack(parts), whole)
+
+    @pytest.mark.parametrize("jumps", [True, False],
+                             ids=["gauss-nig", "gauss-only"])
+    def test_gaussian_driver_matches_block_draw(self, setup, grid, jumps):
+        # Gaussian part first, then the jump part, from one block stream
+        b, c = 0.02, 0.01
+        triplet = LevyTriplet(drift=PiecewiseConstant.constant(b),
+                              gauss=PiecewiseConstant.constant(c),
+                              jumps=setup.triplet.jumps if jumps else None)
+        eng = SimulationEngine(dataclasses.replace(setup, triplet=triplet),
+                               grid)
         dt = np.diff(grid.times)
-        assert abs(dh.mean()) < 5e-4
+        shape = (RNG_BLOCK, grid.n_steps)
+        dh = eng.path_increments(3, RNG_BLOCK - 2, 4)
+        for block, got, rows in ((0, dh[:2], slice(-2, None)),
+                                 (1, dh[2:], slice(0, 2))):
+            rng = block_rng(3, block)
+            ref = np.broadcast_to(b * dt, shape).copy()
+            ref += np.sqrt(c * dt) * rng.standard_normal(shape)
+            if jumps:
+                ref += sample_nig_increment(dt, triplet.jumps, rng,
+                                            size=shape)
+            assert np.array_equal(got, ref[rows])
+
+    @pytest.mark.parametrize("first, count", [(-1, 1), ((1 << 64) - 2, 3)])
+    def test_path_indices_outside_64_bits_raise(self, engine, first, count):
+        with pytest.raises(ValueError):
+            engine.path_increments(1, first, count)
+
+    def test_last_path_indices_are_accepted(self, engine):
+        dh = engine.path_increments(1, (1 << 64) - 3, 3)
+        assert dh.shape == (3, 36) and np.isfinite(dh).all()
+
+    def test_increment_moments(self, setup, engine, grid):
+        n = 4000
+        dh = engine.path_increments(1, 0, n)
+        # driftless driver: mean 0, var delta/alpha * dt per step; the
+        # grand mean's standard error is sqrt(rate * sum(dt)) / (n * steps)
+        dt = np.diff(grid.times)
+        rate = nig_variance_rate(setup.triplet.jumps)
+        se = np.sqrt(rate * dt.sum() / n) / len(dt)
+        assert abs(dh.mean()) < 4.0 * se
         assert dh.var(axis=0) == pytest.approx(dt, rel=0.15)
 
 
