@@ -188,10 +188,9 @@ class DriftEvaluator:
                 out[:, col] = -j_terms[:, col]
         return out
 
-    def frozen_table(self, state0: np.ndarray | None = None) -> np.ndarray:
+    def frozen_table(self) -> np.ndarray:
         """Deterministic drift table b(t_k, T_i; X(0)), shape (steps, rates)."""
-        z0 = (self.setup.log_initial_rates if state0 is None
-              else np.asarray(state0, dtype=float))
+        z0 = self.setup.log_initial_rates
         rows = [self.step_drift(k, z0[None, :])[0] for k in range(self.n_steps)]
         return np.array(rows)
 

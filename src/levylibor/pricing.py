@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -36,13 +36,6 @@ class CouponConvention(Enum):
 
     ACCRUAL = "accrual"
     UNIT = "unit"
-
-    @classmethod
-    def parse(cls, text: str) -> "CouponConvention":
-        for c in cls:
-            if c.value == text:
-                return c
-        raise ValueError(f"unknown coupon convention {text!r}")
 
 
 @dataclass(frozen=True)
@@ -346,23 +339,14 @@ def price_instruments_mc(setup: MarketSetup,
         for s in schemes
     }
 
-    need_stage1 = any(s in (Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR)
-                      for s in schemes)
-
-    # One call per batch, so a batch's trajectories are freed before the
-    # next batch allocates its own.
+    # One call per batch, so a batch's arrays are freed before the next
+    # batch allocates its own.
     def add_batch(start: int, count: int) -> None:
         dh = engine.path_increments(seed, start, count)
-        stage1 = engine.evolve(Scheme.FROZEN_DRIFT, dh) if need_stage1 else None
         for scheme in schemes:
-            if scheme is Scheme.FROZEN_DRIFT:
-                log_paths = stage1
-            elif scheme is Scheme.STRONG_TAYLOR:
-                log_paths = engine.evolve(scheme, dh, stage1=stage1)
-            else:
-                log_paths = engine.evolve(scheme, dh)
-            fix = engine.fixings(log_paths)
-            valid = engine.valid_mask(log_paths, fix)
+            log_fix = engine.evolve(scheme, dh)
+            fix = engine.fixings(log_fix)
+            valid = engine.valid_mask(log_fix, fix)
             products = chain_products(fix, setup)
             payoffs = [
                 caplet_payoffs(products, fix, spec, setup)[valid]
@@ -467,16 +451,6 @@ class ComparisonTable:
 
     def swaption_cells(self) -> list[ComparisonCell]:
         return [c for c in self.cells if not c.is_caplet]
-
-    def max_abs_iv_diff(self, scheme: Scheme,
-                        cells: Iterable[ComparisonCell] | None = None
-                        ) -> float:
-        worst = 0.0
-        for c in cells if cells is not None else self.caplet_cells():
-            d = c.iv_diff(scheme)
-            if d is not None:
-                worst = max(worst, abs(d))
-        return worst
 
     def write_csv(self, file) -> None:
         writer = csv.writer(file, lineterminator="\n")

@@ -7,16 +7,19 @@ Three schemes integrate the same log-rate equation
 * ``FULL_SDE``     reads the drift from the simulated state at the left grid
                    point (joint Euler recursion over all rates),
 * ``FROZEN_DRIFT`` reads it from the initial state (drift deterministic),
-* ``STRONG_TAYLOR`` runs the deterministic-drift recursion first and feeds
-                   those stage-one paths into the drift of a second pass.
+* ``STRONG_TAYLOR`` reads it from the deterministic-drift (stage-one)
+                   state, advanced in the same loop on the same increments.
 
-All three run on one batch engine, :class:`SimulationEngine`, read their
-drift from its single :class:`~levylibor.drift.DriftEvaluator`, and consume
-identical driver increments, so runs at the same seed are coupled pathwise;
-the last rate has a state-free drift and is produced by the same arithmetic
-in every scheme, bit for bit.  Loadings appearing in a step are the ones in
-force on the open interval (read at the midpoint), so a rate stays exactly
-constant from its fixing date on.
+All three are one recursion, :meth:`SimulationEngine.states`, on one batch
+engine; they read their drift from its single
+:class:`~levylibor.drift.DriftEvaluator` and consume identical driver
+increments, so runs at the same seed are coupled pathwise.  The last rate
+has a state-free drift and is produced by the same arithmetic in every
+scheme, bit for bit; under ``STRONG_TAYLOR`` so is rate N-1, whose drift
+reads only rate N.  Loadings appearing in a step are the ones in force on
+the open interval (read at the midpoint), so a rate stays exactly constant
+from its fixing date on.  Pricing reads only the tenor dates, so
+:meth:`SimulationEngine.evolve` keeps only the states at T_1..T_N.
 
 Driver increments are drawn a block of ``RNG_BLOCK`` consecutive paths at a
 time: path ``j`` at seed ``s`` is row ``j % RNG_BLOCK`` of the block
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -159,55 +163,63 @@ class SimulationEngine:
             out[lo - first_index:hi - first_index] = dh[lo - base:hi - base]
         return out
 
-    # -- log-rate recursions -----------------------------------------------
+    # -- log-rate recursion -------------------------------------------------
 
-    def _recurse(self, drift_fn, dh: np.ndarray) -> np.ndarray:
-        paths = dh.shape[0]
-        out = np.empty((paths, self.n_rates, len(self.dt) + 1))
-        z = np.repeat(self.z0[None, :], paths, axis=0)
-        out[:, :, 0] = z
-        for k in range(len(self.dt)):
-            b = drift_fn(k, z)
-            z = z + b * self.dt[k] + dh[:, k, None] * self.step_vols[k][None, :]
-            out[:, :, k + 1] = z
-        return out
+    def states(self, scheme: Scheme, dh: np.ndarray) -> Iterator[np.ndarray]:
+        """Log-rate states (paths, rates) at grid points 0..n_steps.
 
-    def evolve(self, scheme: Scheme, dh: np.ndarray,
-               stage1: np.ndarray | None = None) -> np.ndarray:
-        """Log-rate paths (paths, rates, grid points) for one scheme.
-
-        ``stage1`` lets the corrected scheme reuse deterministic-drift paths
-        already computed for the same increments.
+        Yields a fresh array per grid point.  ``FULL_SDE`` reads its drift
+        from the state itself, ``FROZEN_DRIFT`` from ``frozen_table`` and
+        ``STRONG_TAYLOR`` from the stage-one (frozen-drift) state, which it
+        advances in the same loop on the same increments.
         """
-        if scheme is Scheme.FROZEN_DRIFT:
-            table = self.frozen_table
-            return self._recurse(
-                lambda k, z: np.broadcast_to(table[k], z.shape), dh)
-        if scheme is Scheme.FULL_SDE:
-            return self._recurse(self.evaluator.step_drift, dh)
-        if scheme is Scheme.STRONG_TAYLOR:
-            if stage1 is None:
-                stage1 = self.evolve(Scheme.FROZEN_DRIFT, dh)
-            return self._recurse(
-                lambda k, z: self.evaluator.step_drift(k, stage1[:, :, k]), dh)
-        raise ValueError(f"unknown scheme {scheme}")
+        z = np.repeat(self.z0[None, :], dh.shape[0], axis=0)
+        stage_one = z
+        yield z
+        for k, dt in enumerate(self.dt):
+            noise = dh[:, k, None] * self.step_vols[k][None, :]
+            if scheme is Scheme.FROZEN_DRIFT:
+                b = self.frozen_table[k]
+            elif scheme is Scheme.FULL_SDE:
+                b = self.evaluator.step_drift(k, z)
+            else:
+                b = self.evaluator.step_drift(k, stage_one)
+                stage_one = stage_one + self.frozen_table[k] * dt + noise
+            z = z + b * dt + noise
+            yield z
+
+    def evolve(self, scheme: Scheme, dh: np.ndarray) -> np.ndarray:
+        """Log-rate states at the fixing dates T_1..T_N, shape
+        (paths, rates, N); column ``i - 1`` holds every rate at ``T_i``."""
+        n = self.n_rates
+        out = np.empty((dh.shape[0], n, n))
+        column = {int(k): i for i, k in enumerate(self.grid.tenor_indices[1:])}
+        for k, z in enumerate(self.states(scheme, dh)):
+            if k in column:
+                out[:, :, column[k]] = z
+        return out
 
     # -- derived quantities --------------------------------------------------
 
-    def fixings(self, log_paths: np.ndarray) -> np.ndarray:
+    def fixings(self, log_fix: np.ndarray) -> np.ndarray:
         """Tenor-date fixings L(T_i, T_l), nan below the diagonal."""
-        paths, n, _ = log_paths.shape
+        paths, n, _ = log_fix.shape
         out = np.full((paths, n, n), np.nan)
         with np.errstate(over="ignore"):
-            for i in range(1, n + 1):
-                idx = self.grid.fixing_index(i)
-                out[:, i - 1, i - 1:] = np.exp(log_paths[:, i - 1:, idx])
+            for i in range(n):
+                out[:, i, i:] = np.exp(log_fix[:, i:, i])
         return out
 
-    def valid_mask(self, log_paths: np.ndarray,
+    def valid_mask(self, log_fix: np.ndarray,
                    fixings: np.ndarray) -> np.ndarray:
-        ok = np.isfinite(log_paths).all(axis=(1, 2))
-        n = self.n_rates
-        for i in range(n):
+        """Paths whose log rates stay finite and whose fixings do not
+        overflow.
+
+        Reading the states at ``T_N`` alone is exact: each step adds to the
+        state, so a non-finite log rate stays non-finite to the last grid
+        point (a rate at -inf fails even though its fixing, 0, is finite).
+        """
+        ok = np.isfinite(log_fix[:, :, -1]).all(axis=1)
+        for i in range(self.n_rates):
             ok &= np.isfinite(fixings[:, i, i:]).all(axis=1)
         return ok

@@ -136,36 +136,67 @@ class TestIncrements:
         rate = nig_variance_rate(setup.triplet.jumps)
         se = np.sqrt(rate * dt.sum() / n) / len(dt)
         assert abs(dh.mean()) < 4.0 * se
-        assert dh.var(axis=0) == pytest.approx(dt, rel=0.15)
+        # per-step sample variance within 4 standard errors,
+        # sqrt((kappa4 + 2 var^2) / n), with the NIG fourth cumulant
+        # kappa4 = 3 delta alpha^2 (alpha^2 + 4 beta^2) / gamma^7 * dt
+        p = setup.triplet.jumps
+        var = rate * dt
+        kappa4 = (3.0 * p.delta * p.alpha**2 * (p.alpha**2 + 4.0 * p.beta**2)
+                  / p.gamma**7 * dt)
+        var_se = np.sqrt((kappa4 + 2.0 * var**2) / n)
+        assert np.all(np.abs(dh.var(axis=0) - var) < 4.0 * var_se)
+
+
+def whole_paths(engine, scheme, dh):
+    """Log-rate paths (paths, rates, grid points), every grid point kept."""
+    return np.stack(list(engine.states(scheme, dh)), axis=2)
 
 
 class TestSchemes:
     def test_last_rate_coincides_bitwise(self, engine):
         dh = engine.path_increments(21, 0, 64)
-        paths = {s: engine.evolve(s, dh) for s in Scheme}
+        paths = {s: whole_paths(engine, s, dh) for s in Scheme}
         for s in (Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR):
             assert np.array_equal(paths[s][:, 8, :],
                                   paths[Scheme.FULL_SDE][:, 8, :])
 
+    @pytest.mark.parametrize("substeps", [1, 4])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_taylor_next_to_last_rate_is_exact(self, setup, seed, substeps):
+        # the drift of rate N-1 reads only rate N, which stage one already
+        # carries exactly, so the corrected scheme reproduces the full
+        # recursion bitwise on rate N-1 (and no further down)
+        eng = SimulationEngine(setup, build_grid(setup.tenor, substeps))
+        dh = eng.path_increments(seed, 0, 256)
+        full = whole_paths(eng, Scheme.FULL_SDE, dh)
+        taylor = whole_paths(eng, Scheme.STRONG_TAYLOR, dh)
+        assert np.array_equal(taylor[:, 7, :], full[:, 7, :])
+        assert not np.array_equal(taylor[:, 6, :], full[:, 6, :])
+
     def test_stage_one_is_the_frozen_path(self, engine):
+        # rebuild every two-stage step from the drift at the frozen path
         dh = engine.path_increments(21, 0, 32)
-        frozen = engine.evolve(Scheme.FROZEN_DRIFT, dh)
-        default = engine.evolve(Scheme.STRONG_TAYLOR, dh)
-        explicit = engine.evolve(Scheme.STRONG_TAYLOR, dh, stage1=frozen)
-        assert np.array_equal(default, explicit)
+        frozen = whole_paths(engine, Scheme.FROZEN_DRIFT, dh)
+        taylor = whole_paths(engine, Scheme.STRONG_TAYLOR, dh)
+        z = frozen[:, :, 0]
+        assert np.array_equal(taylor[:, :, 0], z)
+        for k, dt in enumerate(engine.dt):
+            b = engine.evaluator.step_drift(k, frozen[:, :, k])
+            z = z + b * dt + dh[:, k, None] * engine.step_vols[k][None, :]
+            assert np.array_equal(taylor[:, :, k + 1], z)
 
     def test_first_step_identical_across_schemes(self, engine):
         # all schemes read the same state at time zero, so the first grid
         # step must agree bitwise for every rate
         dh = engine.path_increments(21, 0, 16)
-        res = [engine.evolve(s, dh)[:, :, 1] for s in Scheme]
+        res = [whole_paths(engine, s, dh)[:, :, 1] for s in Scheme]
         assert np.array_equal(res[0], res[1])
         assert np.array_equal(res[1], res[2])
 
     def test_one_step_recursion_reconstruction(self, setup, engine, grid):
         # reconstruct step 0 by hand: z1 = z0 + b*dt + lambda*dh
         dh = engine.path_increments(21, 0, 8)
-        full = engine.evolve(Scheme.FULL_SDE, dh)
+        full = whole_paths(engine, Scheme.FULL_SDE, dh)
         z0 = setup.log_initial_rates
         b = engine.evaluator.step_drift(0, z0[None, :])[0]
         dt = grid.times[1] - grid.times[0]
@@ -173,10 +204,18 @@ class TestSchemes:
         expected = z0 + b * dt + dh[:, 0, None] * lam[None, :]
         assert np.array_equal(full[:, :, 1], expected)
 
+    def test_states_are_fresh_arrays(self, engine):
+        dh = engine.path_increments(21, 0, 4)
+        for scheme in Scheme:
+            seen = list(engine.states(scheme, dh))
+            assert len(seen) == engine.grid.n_steps + 1
+            assert not any(np.shares_memory(a, b)
+                           for a, b in zip(seen, seen[1:]))
+
     def test_rates_freeze_at_fixing(self, engine, grid):
         dh = engine.path_increments(33, 0, 8)
         for scheme in Scheme:
-            paths = engine.evolve(scheme, dh)
+            paths = whole_paths(engine, scheme, dh)
             for i in (1, 5, 9):
                 k = grid.fixing_index(i)
                 tail = paths[:, i - 1, k:]
@@ -184,18 +223,23 @@ class TestSchemes:
 
     def test_fixings_matrix_layout(self, engine, grid):
         dh = engine.path_increments(33, 0, 4)
-        paths = engine.evolve(Scheme.FULL_SDE, dh)
-        fix = engine.fixings(paths)
+        for scheme in Scheme:
+            log_fix = engine.evolve(scheme, dh)
+            paths = whole_paths(engine, scheme, dh)
+            assert log_fix.shape == (4, 9, 9)
+            assert np.array_equal(log_fix,
+                                  paths[:, :, grid.tenor_indices[1:]])
+        fix = engine.fixings(log_fix)
         assert fix.shape == (4, 9, 9)
         assert np.all(np.isnan(fix[:, 3, :3]))
         k = grid.fixing_index(4)
-        assert np.array_equal(fix[:, 3, 3], np.exp(paths[:, 3, k]))
-        assert np.all(engine.valid_mask(paths, fix))
+        assert np.array_equal(fix[:, 3, 3:], np.exp(paths[:, 3:, k]))
+        assert np.all(engine.valid_mask(log_fix, fix))
 
     def test_initial_column_is_the_curve(self, setup, engine):
         dh = engine.path_increments(33, 0, 8)
         for scheme in Scheme:
-            paths = engine.evolve(scheme, dh)
+            paths = whole_paths(engine, scheme, dh)
             assert np.array_equal(paths[:, :, 0],
                                   np.broadcast_to(setup.log_initial_rates,
                                                   (8, 9)))
@@ -210,7 +254,7 @@ class TestSchemes:
         eng = SimulationEngine(quiet, g)
         dh = eng.path_increments(5, 0, 8)
         for scheme in Scheme:
-            paths = eng.evolve(scheme, dh)
+            paths = whole_paths(eng, scheme, dh)
             assert np.all(paths == quiet.log_initial_rates[None, :, None])
 
     def test_frozen_scheme_exponential_moment(self, setup, engine, grid):
@@ -222,8 +266,9 @@ class TestSchemes:
         dt = np.diff(grid.times)[:fx]
         table = engine.evaluator.frozen_table()[:fx, i - 1]
         dh = engine.path_increments(77, 0, n)
-        paths = engine.evolve(Scheme.FROZEN_DRIFT, dh)
-        resid = paths[:, i - 1, fx] - paths[:, i - 1, 0] - (table * dt).sum()
+        log_fix = engine.evolve(Scheme.FROZEN_DRIFT, dh)
+        resid = (log_fix[:, i - 1, i - 1] - setup.log_initial_rates[i - 1]
+                 - (table * dt).sum())
         y = np.exp(resid)
         lam = setup.vols.vol_at(0.0, i)
         target = np.exp(setup.triplet.cumulant(lam, 0.0)
@@ -234,21 +279,22 @@ class TestSchemes:
 class TestEnsembleApi:
     @staticmethod
     def _simulate(engine, scheme, n_paths, seed, batch_size):
-        """Log paths and fixings of paths 0..n_paths-1, batch by batch."""
+        """Whole log paths and fixings of paths 0..n_paths-1, batch by
+        batch."""
         logs, fixes = [], []
         for start in range(0, n_paths, batch_size):
             count = min(batch_size, n_paths - start)
             dh = engine.path_increments(seed, start, count)
-            log_paths = engine.evolve(scheme, dh)
-            logs.append(log_paths)
-            fixes.append(engine.fixings(log_paths))
+            logs.append(whole_paths(engine, scheme, dh))
+            fixes.append(engine.fixings(engine.evolve(scheme, dh)))
         return np.concatenate(logs), np.concatenate(fixes)
 
     def test_path_bundle_fields_and_determinism(self, engine, grid):
         logs, fix = self._simulate(engine, Scheme.FULL_SDE, 5, 9, 4096)
         assert logs.shape == (5, 9, grid.n_steps + 1)
         assert fix.shape == (5, 9, 9)
-        assert engine.valid_mask(logs, fix).all()
+        assert engine.valid_mask(logs[:, :, grid.tenor_indices[1:]],
+                                 fix).all()
         again, _ = self._simulate(engine, Scheme.FULL_SDE, 5, 9, 4096)
         assert np.array_equal(logs, again)
 
@@ -274,11 +320,12 @@ class TestEnsembleApi:
 
     def test_single_path_matches_ensemble(self, engine):
         logs, fix = self._simulate(engine, Scheme.FROZEN_DRIFT, 3, 9, 4096)
-        alone = engine.evolve(Scheme.FROZEN_DRIFT,
-                              engine.path_increments(9, 2, 1))
+        dh = engine.path_increments(9, 2, 1)
+        alone = whole_paths(engine, Scheme.FROZEN_DRIFT, dh)
         assert np.array_equal(alone[0], logs[2])
-        assert np.array_equal(engine.fixings(alone)[0], fix[2],
-                              equal_nan=True)
+        assert np.array_equal(
+            engine.fixings(engine.evolve(Scheme.FROZEN_DRIFT, dh))[0],
+            fix[2], equal_nan=True)
 
 
 class TestOverflowHandling:
@@ -309,3 +356,31 @@ class TestOverflowHandling:
             mask = engine.valid_mask(paths, fix)
         assert list(mask) == [True, True, True, False, True, True, False,
                               True]
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_valid_mask_matches_the_whole_path(self, engine, grid, scheme):
+        # valid_mask reads only the fixing dates; the oracle reads every
+        # grid point: every log rate finite, every fixing finite
+        dh = engine.path_increments(5, 0, 8)
+        dh[1, 0] = -np.inf
+        dh[2, 30] = -np.inf
+        dh[3, 12] = np.inf
+        dh[4, 20] = np.nan
+        dh[5, 5] = 800.0
+        with np.errstate(all="ignore"):
+            paths = whole_paths(engine, scheme, dh)
+            log_fix = engine.evolve(scheme, dh)
+            fix = engine.fixings(log_fix)
+            mask = engine.valid_mask(log_fix, fix)
+            oracle = np.isfinite(paths).all(axis=(1, 2))
+            for i in range(1, 10):
+                k = grid.fixing_index(i)
+                oracle &= np.isfinite(np.exp(paths[:, i - 1:, k])).all(axis=1)
+        assert np.array_equal(mask, oracle)
+        assert list(mask[:5]) == [True, False, False, False, False]
+        # a rate sent to -inf fixes at 0, which is finite, yet the path
+        # is invalid
+        assert all(np.isfinite(fix[1, i, i:]).all() for i in range(9))
+        # the 800.0 shock leaves finite fixings only where the drift
+        # ignores the state
+        assert mask[5] == (scheme is Scheme.FROZEN_DRIFT)
