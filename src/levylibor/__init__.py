@@ -60,6 +60,7 @@ from .pricing import (
     McEstimate,
     SwaptionSpec,
     black76_implied_vol,
+    black76_implied_vols,
     black76_price,
     caplet_payoffs,
     caplet_price_last_rate,

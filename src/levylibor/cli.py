@@ -196,6 +196,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         moneyness=args.moneyness, schemes=schemes)
     with _open_out(args.out) as fh:
         table.write_csv(fh)
+    for line in table.iv_failure_lines():
+        print(line, file=sys.stderr)
     if args.surface_out is not None:
         for path in _write_surfaces(table, args.surface_out):
             print(f"wrote {path}", file=sys.stderr)
@@ -215,6 +217,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         with open(csv_path, "w", newline="") as fh:
             table.write_csv(fh)
         print(f"wrote {csv_path}")
+        for line in table.iv_failure_lines():
+            print(line, file=sys.stderr)
         for path in _write_surfaces(table, str(out_dir / "iv_surface")):
             print(f"wrote {path}")
 

@@ -12,13 +12,15 @@ volatilities for like-for-like scheme comparisons.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import norm, norminvgauss
+from scipy.special import ndtr
+from scipy.stats import norminvgauss
 
 from .driver import nig_jump_cumulant
 from .market import MarketSetup
@@ -180,7 +182,11 @@ def forward_swap_rate(setup: MarketSetup, expiry_index: int, end_index: int,
 # ---------------------------------------------------------------------------
 
 class ImpliedVolError(ValueError):
-    """Price not attainable inside the volatility bracket."""
+    """Price not attainable inside the volatility bracket.
+
+    ``side`` names the reason: ``"lower"`` (below the bracket floor),
+    ``"upper"`` (above its cap), ``"strike"`` (zero strike, no vol) or
+    ``"nan"`` (a non-finite input or bracket bound)."""
 
     def __init__(self, message: str, price: float, bound: float,
                  side: str) -> None:
@@ -190,59 +196,111 @@ class ImpliedVolError(ValueError):
         self.side = side
 
 
-def black76_price(forward: float, strike: float, vol: float, expiry: float,
-                  discount: float = 1.0, accrual: float = 1.0) -> float:
-    """Black-76 call value ``discount*accrual*(F N(d1) - K N(d2))``."""
+IV_FAILURE_SIDES = ("lower", "upper", "strike", "nan")
+
+
+def black76_price(forward, strike, vol, expiry, discount=1.0, accrual=1.0):
+    """Black-76 call value ``discount*accrual*(F N(d1) - K N(d2))``.
+
+    Arguments may be arrays; they broadcast elementwise."""
     scale = discount * accrual
-    if strike <= 0.0:
-        return scale * forward
-    stddev = vol * np.sqrt(expiry)
-    if stddev <= 0.0:
-        return scale * max(forward - strike, 0.0)
-    d1 = (np.log(forward / strike) + 0.5 * stddev * stddev) / stddev
-    d2 = d1 - stddev
-    return scale * (forward * norm.cdf(d1) - strike * norm.cdf(d2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stddev = vol * np.sqrt(expiry)
+        d1 = (np.log(np.divide(forward, strike)) + 0.5 * stddev * stddev) \
+            / stddev
+        d2 = d1 - stddev
+        value = forward * ndtr(d1) - strike * ndtr(d2)
+    value = np.where(stddev <= 0.0, np.maximum(forward - strike, 0.0), value)
+    return scale * np.where(strike <= 0.0, forward, value)
+
+
+def _iv_error(side: str, price: float, forward: float, strike: float,
+              expiry: float, floor: float, cap: float, lo: float,
+              hi: float) -> ImpliedVolError:
+    if side == "nan":
+        return ImpliedVolError(
+            f"no implied volatility for price {price:.8g}, forward "
+            f"{forward:.8g}, strike {strike:.8g}, expiry {expiry:.8g}: an "
+            "input or a bracket price is not finite", price, math.nan, side)
+    if side == "strike":
+        return ImpliedVolError("implied volatility undefined for zero strike",
+                               price, 0.0, side)
+    if side == "lower":
+        return ImpliedVolError(
+            f"price {price:.8g} below the bracket floor {floor:.8g} "
+            f"(vol {lo:g}); at or under intrinsic value", price, floor, side)
+    return ImpliedVolError(
+        f"price {price:.8g} above the bracket cap {cap:.8g} (vol {hi:g})",
+        price, cap, side)
+
+
+def black76_implied_vols(price, forward, strike, expiry, discount=1.0,
+                         accrual=1.0, lo: float = 1e-4, hi: float = 5.0,
+                         tol: float = 1e-10
+                         ) -> tuple[np.ndarray, dict[int, ImpliedVolError]]:
+    """Invert Black-76 for many cells at once by bisection on [lo, hi].
+
+    The arguments broadcast together and are read flat.  Every cell
+    bisects until its bracket is narrower than ``tol`` in vol units (or a
+    midpoint prices it exactly), so each vol is within ``tol`` of its root
+    however flat the price is in vol.  Returns the vols, nan where a cell
+    fails, and an :class:`ImpliedVolError` per failed cell keyed by its
+    flat index.
+    """
+    price, forward, strike, expiry, discount, accrual = (
+        x.ravel() for x in np.broadcast_arrays(
+            price, forward, strike, expiry, discount, accrual))
+    floor = black76_price(forward, strike, lo, expiry, discount, accrual)
+    cap = black76_price(forward, strike, hi, expiry, discount, accrual)
+    finite = np.isfinite([price, forward, strike, expiry, discount,
+                          accrual]).all(axis=0)
+    side = np.select(
+        [~finite, strike <= 0.0, ~np.isfinite(floor) | ~np.isfinite(cap),
+         price < floor, price > cap],
+        ["nan", "strike", "nan", "lower", "upper"], default="")
+    failures = {
+        int(j): _iv_error(str(side[j]), float(price[j]), float(forward[j]),
+                          float(strike[j]), float(expiry[j]), float(floor[j]),
+                          float(cap[j]), lo, hi)
+        for j in np.flatnonzero(side != "")
+    }
+
+    vols = np.full(price.size, math.nan)
+    live = np.flatnonzero(side == "")
+    a = np.full(live.size, lo)
+    b = np.full(live.size, hi)
+    todo = np.arange(live.size)
+    for _ in range(200):
+        if todo.size == 0:
+            break
+        cells = live[todo]
+        mid = 0.5 * (a[todo] + b[todo])
+        diff = black76_price(forward[cells], strike[cells], mid,
+                             expiry[cells], discount[cells],
+                             accrual[cells]) - price[cells]
+        hit = diff == 0.0
+        vols[cells[hit]] = mid[hit]
+        up = diff > 0.0
+        b[todo[up]] = mid[up]
+        a[todo[~up]] = mid[~up]
+        todo = todo[~hit & (b[todo] - a[todo] > tol)]
+    bisected = np.isnan(vols[live])
+    vols[live[bisected]] = 0.5 * (a[bisected] + b[bisected])
+    return vols, failures
 
 
 def black76_implied_vol(price: float, forward: float, strike: float,
                         expiry: float, discount: float = 1.0,
                         accrual: float = 1.0, lo: float = 1e-4,
                         hi: float = 5.0, tol: float = 1e-10) -> float:
-    """Invert Black-76 by bisection on the bracket [lo, hi].
-
-    Bisects until the bracket is narrower than ``tol`` in vol units, so the
-    returned vol is within ``tol`` of the root regardless of how flat the
-    price is in vol.  Raises :class:`ImpliedVolError` naming the violated
-    bound when the price falls below the bracket floor (at or under
-    intrinsic) or above its cap.
-    """
-    if strike <= 0.0:
-        raise ImpliedVolError("implied volatility undefined for zero strike",
-                              price, 0.0, "strike")
-    floor = black76_price(forward, strike, lo, expiry, discount, accrual)
-    cap = black76_price(forward, strike, hi, expiry, discount, accrual)
-    if price < floor:
-        raise ImpliedVolError(
-            f"price {price:.8g} below the bracket floor {floor:.8g} "
-            f"(vol {lo:g}); at or under intrinsic value", price, floor, "lower")
-    if price > cap:
-        raise ImpliedVolError(
-            f"price {price:.8g} above the bracket cap {cap:.8g} "
-            f"(vol {hi:g})", price, cap, "upper")
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        diff = black76_price(forward, strike, mid, expiry, discount,
-                             accrual) - price
-        if diff == 0.0:
-            return mid
-        if diff > 0.0:
-            b = mid
-        else:
-            a = mid
-        if b - a <= tol:
-            break
-    return 0.5 * (a + b)
+    """Invert Black-76 for one cell: :func:`black76_implied_vols` on a
+    single element.  Raises :class:`ImpliedVolError` naming the violated
+    bound, or side ``"nan"`` for a non-finite input."""
+    vols, failures = black76_implied_vols(price, forward, strike, expiry,
+                                          discount, accrual, lo, hi, tol)
+    if failures:
+        raise failures[0]
+    return float(vols[0])
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +478,7 @@ class ComparisonCell:
     expiry: float
     estimates: dict[Scheme, McEstimate] = field(default_factory=dict)
     implied_vols: dict[Scheme, float] = field(default_factory=dict)
-    iv_failures: dict[Scheme, str] = field(default_factory=dict)
+    iv_failures: dict[Scheme, ImpliedVolError] = field(default_factory=dict)
 
     @property
     def is_caplet(self) -> bool:
@@ -451,6 +509,24 @@ class ComparisonTable:
 
     def swaption_cells(self) -> list[ComparisonCell]:
         return [c for c in self.cells if not c.is_caplet]
+
+    def iv_failure_lines(self) -> list[str]:
+        """One line per scheme counting its caplet implied-vol failures by
+        side; no lines when every caplet cell was quoted."""
+        cells = self.caplet_cells()
+        if not any(cell.iv_failures for cell in cells):
+            return []
+        lines = []
+        for scheme in self.schemes:
+            sides = [cell.iv_failures[scheme].side for cell in cells
+                     if scheme in cell.iv_failures]
+            counts = ", ".join(f"{side} {sides.count(side)}"
+                               for side in IV_FAILURE_SIDES
+                               if side in sides)
+            lines.append(f"implied-vol failures, {scheme.value}: "
+                         f"{len(sides)} of {len(cells)} caplet cells"
+                         + (f" ({counts})" if counts else ""))
+        return lines
 
     def write_csv(self, file) -> None:
         writer = csv.writer(file, lineterminator="\n")
@@ -539,18 +615,21 @@ def compare_schemes(setup: MarketSetup, n_paths: int, seed: int,
         for idx, est in enumerate(swap_est):
             cells[n_caplets + idx].estimates[scheme] = est
 
-    for cell in cells[:n_caplets]:
-        i = cell.maturity_index
-        discount = setup.curve.bond(i + 1)
-        accrual = setup.tenor.accrual(i)
-        for scheme in schemes:
-            est = cell.estimates[scheme]
-            try:
-                cell.implied_vols[scheme] = black76_implied_vol(
-                    est.price, cell.forward, cell.strike, cell.expiry,
-                    discount, accrual)
-            except ImpliedVolError as err:
-                cell.iv_failures[scheme] = str(err)
+    # One inversion for every caplet cell under every scheme, cell-major.
+    quoted = [(cell, scheme) for cell in cells[:n_caplets]
+              for scheme in schemes]
+    vols, failures = black76_implied_vols(
+        [cell.estimates[scheme].price for cell, scheme in quoted],
+        [cell.forward for cell, _ in quoted],
+        [cell.strike for cell, _ in quoted],
+        [cell.expiry for cell, _ in quoted],
+        [setup.curve.bond(cell.maturity_index + 1) for cell, _ in quoted],
+        [setup.tenor.accrual(cell.maturity_index) for cell, _ in quoted])
+    for j, (cell, scheme) in enumerate(quoted):
+        if j in failures:
+            cell.iv_failures[scheme] = failures[j]
+        else:
+            cell.implied_vols[scheme] = float(vols[j])
 
     return ComparisonTable(cells=cells, schemes=list(schemes),
                            n_paths=n_paths, seed=seed, substeps=substeps)

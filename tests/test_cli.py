@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from levylibor import bundled_setup, setup_to_dict, zero_strike_caplet_value
+from levylibor import (acceptance, bundled_setup, compare_schemes,
+                       setup_to_dict, zero_strike_caplet_value)
 from levylibor.cli import build_parser, main
 
 
@@ -215,6 +216,51 @@ class TestCompare:
              "--schemes", "frozen,taylor"], capsys)
         assert code == 2
         assert "full" in err
+
+    def test_iv_failures_counted_on_stderr(self, capsys):
+        # at 10 paths some deep cells price under intrinsic: stderr counts
+        # the failures per scheme by side, stdout holds the CSV alone
+        code, out, err = run_cli(
+            ["compare", "--paths", "10", "--seed", "1",
+             "--moneyness", "0.7,1.0"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"implied-vol failures, {s}" for s in ("full", "frozen", "taylor")]
+        for scheme, line in zip(("full", "frozen", "taylor"), lines):
+            empty = sum(1 for r in rows if r["instrument"] == "caplet"
+                        and r["scheme"] == scheme and r["implied_vol"] == "")
+            assert empty > 0
+            assert line.endswith(f": {empty} of 18 caplet cells "
+                                 f"(lower {empty})")
+
+    def test_no_failure_lines_when_every_cell_is_quoted(self, capsys):
+        code, _, err = run_cli(
+            ["compare", "--paths", "400", "--seed", "23", "--substeps", "2",
+             "--moneyness", "1.0"], capsys)
+        assert code == 0
+        assert err == ""
+
+
+class TestReproduce:
+    def test_iv_failures_counted_on_stderr(self, tmp_path, monkeypatch,
+                                           capsys):
+        # the comparison table goes through the same emit step as a full
+        # run; the acceptance criteria themselves are left out
+        def run_all(setup, seed, paths_scale, substeps, on_table):
+            on_table(compare_schemes(setup, n_paths=10, seed=1,
+                                     moneyness=(0.7, 1.0)))
+            return []
+
+        monkeypatch.setattr(acceptance, "run_all", run_all)
+        code, out, err = run_cli(
+            ["reproduce-paper", "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        assert "implied-vol failures" not in out
+        assert len(err.splitlines()) == 3
+        assert all(line.startswith("implied-vol failures, ")
+                   for line in err.splitlines())
 
 
 class TestParser:

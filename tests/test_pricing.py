@@ -8,7 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
+import levylibor.pricing as pricing
 from levylibor import (
     CapletSpec,
     CouponConvention,
@@ -16,6 +18,7 @@ from levylibor import (
     Scheme,
     SwaptionSpec,
     black76_implied_vol,
+    black76_implied_vols,
     black76_price,
     bundled_setup,
     caplet_price_last_rate,
@@ -30,6 +33,65 @@ from levylibor import (
     swaption_payoffs,
     zero_strike_caplet_value,
 )
+
+
+def _oracle_price(forward, strike, vol, expiry, discount=1.0, accrual=1.0):
+    # scalar Black-76 on scipy.stats.norm.cdf, as the package had it
+    scale = discount * accrual
+    if strike <= 0.0:
+        return scale * forward
+    stddev = vol * np.sqrt(expiry)
+    if stddev <= 0.0:
+        return scale * max(forward - strike, 0.0)
+    d1 = (np.log(forward / strike) + 0.5 * stddev * stddev) / stddev
+    d2 = d1 - stddev
+    return scale * (forward * norm.cdf(d1) - strike * norm.cdf(d2))
+
+
+def _oracle_vol(price, forward, strike, expiry, discount=1.0, accrual=1.0,
+                lo=1e-4, hi=5.0, tol=1e-10):
+    """The scalar bisection the array inversion replaced: same bracket,
+    tolerance and stopping rule, one cell at a time."""
+    if strike <= 0.0:
+        raise ImpliedVolError("implied volatility undefined for zero strike",
+                              price, 0.0, "strike")
+    floor = _oracle_price(forward, strike, lo, expiry, discount, accrual)
+    cap = _oracle_price(forward, strike, hi, expiry, discount, accrual)
+    if price < floor:
+        raise ImpliedVolError(
+            f"price {price:.8g} below the bracket floor {floor:.8g} "
+            f"(vol {lo:g}); at or under intrinsic value", price, floor, "lower")
+    if price > cap:
+        raise ImpliedVolError(
+            f"price {price:.8g} above the bracket cap {cap:.8g} "
+            f"(vol {hi:g})", price, cap, "upper")
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        diff = _oracle_price(forward, strike, mid, expiry, discount,
+                             accrual) - price
+        if diff == 0.0:
+            return mid
+        if diff > 0.0:
+            b = mid
+        else:
+            a = mid
+        if b - a <= tol:
+            break
+    return 0.5 * (a + b)
+
+
+def _oracle_outcome(*args):
+    try:
+        return _oracle_vol(*args)
+    except ImpliedVolError as err:
+        return err.side, str(err)
+
+
+def _outcome(vols, failures, j):
+    if j in failures:
+        return failures[j].side, str(failures[j])
+    return vols[j]
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +178,67 @@ class TestBlack76:
     def test_zero_strike_has_no_vol(self):
         with pytest.raises(ImpliedVolError):
             black76_implied_vol(0.01, 0.05, 0.0, 1.0)
+
+    def test_array_price_matches_scalar_oracle_bitwise(self):
+        forward = np.array([0.05, 0.05, 0.04, 0.05, 0.05])
+        strike = np.array([0.035, 0.065, 0.0, 0.05, 0.04])
+        vol = np.array([0.2, 0.35, 0.2, 1e-4, 0.0])
+        expiry = np.array([0.5, 4.5, 1.0, 2.0, 1.0])
+        prices = black76_price(forward, strike, vol, expiry, 0.9, 0.5)
+        assert prices.tolist() == [
+            _oracle_price(*args, 0.9, 0.5)
+            for args in zip(forward.tolist(), strike.tolist(), vol.tolist(),
+                            expiry.tolist())]
+
+    def test_array_inversion_matches_scalar_oracle_bitwise(self):
+        # ordinary cells mixed with every failure side in one call
+        cells = []
+        for ratio in (0.7, 1.0, 1.3):
+            for vol in (0.1, 0.4):
+                for expiry in (0.5, 4.5):
+                    strike = 0.05 * ratio
+                    cells.append((black76_price(0.05, strike, vol, expiry,
+                                                0.85, 0.5),
+                                  0.05, strike, expiry, 0.85, 0.5))
+        cells += [
+            (0.0, 0.05, 0.04, 1.0, 1.0, 1.0),       # under intrinsic
+            (0.2, 0.05, 0.04, 1.0, 1.0, 1.0),       # above the cap
+            (0.01, 0.05, 0.0, 1.0, 1.0, 1.0),       # zero strike
+            (0.003, 0.05, 0.045, 2.0, 0.9, 0.5),    # ordinary, off-grid
+        ]
+        non_finite = [
+            (math.nan, 0.05, 0.045, 2.0, 0.9, 0.5),
+            (0.003, math.nan, 0.045, 2.0, 0.9, 0.5),
+            (0.003, 0.05, math.nan, 2.0, 0.9, 0.5),
+            (0.003, 0.05, 0.045, math.nan, 0.9, 0.5),
+            (0.003, 0.05, 0.045, math.inf, 0.9, 0.5),
+            (0.003, -0.05, 0.045, 2.0, 0.9, 0.5),   # nan bracket prices
+        ]
+        grid = cells + non_finite
+        vols, failures = black76_implied_vols(*map(list, zip(*grid)))
+        assert {failures[j].side for j in failures} == \
+            {"lower", "upper", "strike", "nan"}
+        for j, args in enumerate(cells):
+            assert _outcome(vols, failures, j) == _oracle_outcome(*args)
+            try:
+                single = black76_implied_vol(*args)
+            except ImpliedVolError as err:
+                single = (err.side, str(err))
+            assert single == _oracle_outcome(*args)
+        for j in range(len(cells), len(grid)):
+            assert failures[j].side == "nan"
+            assert math.isnan(vols[j])
+
+    @pytest.mark.parametrize("arg", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_fails_with_side_nan(self, arg, bad):
+        # price, forward, strike, expiry: each would otherwise bisect to
+        # the top of the bracket and return a vol near 5
+        args = [0.003, 0.05, 0.045, 2.0]
+        args[arg] = bad
+        with pytest.raises(ImpliedVolError) as err:
+            black76_implied_vol(*args, 0.9, 0.5)
+        assert err.value.side == "nan"
 
 
 class TestQuadratureOracle:
@@ -272,6 +395,50 @@ class TestCompareSchemes:
         with pytest.raises(ValueError):
             compare_schemes(setup, n_paths=10, seed=1,
                             schemes=(Scheme.FROZEN_DRIFT,))
+
+    def test_implied_vols_match_scalar_oracle_bitwise(self, setup,
+                                                      small_table):
+        for cell in small_table.caplet_cells():
+            i = cell.maturity_index
+            for scheme in small_table.schemes:
+                expected = _oracle_outcome(
+                    cell.estimates[scheme].price, cell.forward, cell.strike,
+                    cell.expiry, setup.curve.bond(i + 1),
+                    setup.tenor.accrual(i))
+                if scheme in cell.iv_failures:
+                    err = cell.iv_failures[scheme]
+                    assert (err.side, str(err)) == expected
+                else:
+                    assert cell.implied_vols[scheme] == expected
+
+    def test_nan_estimate_is_a_recorded_failure(self, setup, monkeypatch):
+        # a scheme whose paths are all invalid prices at nan; its cells
+        # must fail with side "nan", not quote a vol near the bracket cap
+        real = pricing.price_instruments_mc
+
+        def all_frozen_paths_invalid(*args, **kwargs):
+            out = real(*args, **kwargs)
+            caps, swps = out[Scheme.FROZEN_DRIFT]
+            out[Scheme.FROZEN_DRIFT] = (
+                [dataclasses.replace(e, price=math.nan) for e in caps], swps)
+            return out
+
+        monkeypatch.setattr(pricing, "price_instruments_mc",
+                            all_frozen_paths_invalid)
+        table = compare_schemes(setup, n_paths=40, seed=23, substeps=1,
+                                moneyness=(1.0,))
+        for cell in table.caplet_cells():
+            assert cell.iv_failures[Scheme.FROZEN_DRIFT].side == "nan"
+            assert Scheme.FROZEN_DRIFT not in cell.implied_vols
+            assert Scheme.FULL_SDE in cell.implied_vols
+        buf = io.StringIO()
+        table.write_csv(buf)
+        rows = [r for r in csv.DictReader(buf.getvalue().splitlines())
+                if r["instrument"] == "caplet" and r["scheme"] == "frozen"]
+        assert rows and all(r["implied_vol"] == "" == r["iv_diff_vs_full"]
+                            for r in rows)
+        assert table.iv_failure_lines()[1] == \
+            "implied-vol failures, frozen: 9 of 9 caplet cells (nan 9)"
 
     def test_iv_failure_recorded_not_raised(self, setup):
         # at 10 paths some deep cells price under intrinsic: the failure is
