@@ -18,16 +18,21 @@ function ``E[e^(Lam x)]`` of ``Lam = sum_(l>i) B_l lam_l`` with independent
 with ``kappa`` the compensated jump cumulant; the Gaussian cross term
 ``sum u_l lam_l`` is ``E[Lam]``.  The loadings are whole multiples of a
 lattice step ``h`` (:func:`~levylibor.market.loading_lattice`), so ``Lam``
-lives on that lattice.  :class:`DriftEvaluator` builds its law per path in
-one pass from the back of the tenor, absorbing one rate per iteration, and
-reduces it against the state-free vector ``kappa(lam_i + x h) - kappa(x h)``:
-O(paths * rates * lattice points) per step.  It is the only drift route of
-the engine.  :func:`drift_quadrature` integrates the same integrand
-directly against the Levy density; it is far too slow for simulation and
-serves as the independent oracle the evaluator is tested against.
+lives on that lattice, and only on the points that sums of subsets of the
+later loadings reach: a few bands of it.  :class:`DriftEvaluator` builds its
+law per path on those points in one pass from the back of the tenor,
+absorbing one rate per iteration, and reduces it against the state-free
+vector ``kappa(lam_i + x h) - kappa(x h)``: O(paths * rates * reachable
+lattice points) per step.  It is the only drift route of the engine.
+:func:`drift_quadrature` integrates the same integrand directly against the
+Levy density; it is far too slow for simulation and serves as the
+independent oracle the evaluator is tested against.
 """
 
 from __future__ import annotations
+
+import bisect
+import itertools
 
 import numpy as np
 from scipy.integrate import quad
@@ -52,14 +57,57 @@ def link_weight(z, accrual: float):
 # Lattice DP: the engine's drift
 # ---------------------------------------------------------------------------
 
+# Lattice points as sorted disjoint inclusive intervals (lo, hi), no two
+# adjacent; a law on them is stored as one row per point, in order.
+Support = tuple[tuple[int, int], ...]
+
+
+def _absorb(support: Support, a: int) -> tuple[Support, tuple]:
+    """Support of ``S | (S + a)`` for ``S = support``, with the segments
+    that fill its rows from the rows of ``S``.
+
+    Each segment ``(dst, n, keep, shift)`` covers ``n`` rows from row
+    ``dst`` of the new law; ``keep`` is the first of the ``n`` rows of the
+    same points in the old law and ``shift`` that of the points ``a``
+    lower, ``None`` where those points are not in ``S``.
+    """
+    los = [lo for lo, _ in support]
+    firsts = list(itertools.accumulate(
+        (hi - lo + 1 for lo, hi in support[:-1]), initial=0))
+
+    def row(x: int) -> int | None:
+        i = bisect.bisect_right(los, x) - 1
+        if i < 0 or x > support[i][1]:
+            return None
+        return firsts[i] + x - los[i]
+
+    cuts = sorted({x + offset for lo, hi in support for x in (lo, hi + 1)
+                   for offset in (0, a)})
+    merged: list[list[int]] = []
+    segments = []
+    dst = 0
+    for x0, x1 in zip(cuts, cuts[1:]):
+        keep, shift = row(x0), row(x0 - a)
+        if keep is None and shift is None:
+            continue
+        segments.append((dst, x1 - x0, keep, shift))
+        dst += x1 - x0
+        if merged and merged[-1][1] == x0 - 1:
+            merged[-1][1] = x1 - 1
+        else:
+            merged.append([x0, x1 - 1])
+    return tuple((lo, hi) for lo, hi in merged), tuple(segments)
+
+
 class DriftEvaluator:
     """Drift machinery for one setup on one time grid.
 
     Precomputes, per grid step, the loadings in force on the open interval;
     evaluation runs one pass over the rates from the back of the tenor,
-    carrying each path's law of the summed later loadings on the loading
-    lattice.  The state-free kernel vectors are memoised by loading and
-    lattice range.
+    carrying each path's law of the summed later loadings on the lattice
+    points those sums can reach.  The absorption plans are memoised by
+    loading pattern and the state-free kernel vectors by loading and
+    reachable set.
 
     Raises
     ------
@@ -89,36 +137,65 @@ class DriftEvaluator:
         # Lattice step in quanta; a continuous driver has no jump term.
         self._quanta = (loading_lattice(vols)[0] if self._jumps is not None
                         else None)
-        self._kernels: dict[tuple[float, int, int], np.ndarray] = {}
+        self._kernels: dict[tuple, np.ndarray] = {}
+        self._plans: dict[tuple[int, ...], tuple] = {}
 
     @property
     def n_steps(self) -> int:
         return len(self.dt)
 
-    def _kernel(self, lam_i: float, lo: int, hi: int) -> np.ndarray:
-        """``kappa(lam_i + x h) - kappa(x h)`` for lattice points ``x`` in
-        ``lo..hi``."""
-        key = (lam_i, lo, hi)
+    def _kernel(self, lam_i: float, support: Support) -> np.ndarray:
+        """``kappa(lam_i + x h) - kappa(x h)`` for the lattice points ``x``
+        of ``support``, in order."""
+        key = (lam_i, support)
         g = self._kernels.get(key)
         if g is None:
-            x = np.arange(lo, hi + 1) * self._quanta / LOADING_QUANTA
+            x = np.concatenate([np.arange(lo, hi + 1) for lo, hi in support])
+            x = x * self._quanta / LOADING_QUANTA
             g = (nig_jump_cumulant(lam_i + x, self._jumps)
                  - nig_jump_cumulant(x, self._jumps))
-            # Callers' threads may race to build one kernel; both builds are
-            # bitwise equal and setdefault keeps the first.
+            # The memo is race-safe for library callers: concurrent builds
+            # of one kernel are bitwise equal and setdefault keeps the first.
             g = self._kernels.setdefault(key, g)
         return g
+
+    def _plan(self, units: tuple[int, ...]) -> tuple:
+        """Absorption plan of the live rates with lattice loadings
+        ``units``, last first: per rate, the support its law is reduced on
+        and the segments that absorb it (:func:`_absorb`)."""
+        plan = self._plans.get(units)
+        if plan is None:
+            # A pattern is the one without its front rate plus one
+            # absorption, so patterns that lose rates share their steps.
+            plan = ((((0, 0),), ()),)
+            for m in range(1, len(units) + 1):
+                known = self._plans.get(units[:m])
+                if known is None:
+                    if m > 1:
+                        support = plan[-1][0]
+                        merged, segments = _absorb(support, units[m - 2])
+                        plan = plan[:-1] + ((support, segments), (merged, ()))
+                    # Race-safe like the kernel memo: equal builds, the
+                    # first one kept.
+                    known = self._plans.setdefault(units[:m], plan)
+                plan = known
+        return plan
 
     def _jump_pass(self, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Jump terms under loadings ``lam`` for states ``z``, shape
         (paths, rates); dead rates get zero.
 
-        Walks the live rates last first.  Row ``x`` of ``p`` holds, per
+        Walks the live rates last first.  Row ``j`` of ``p`` holds, per
         path, the sum over subsets S of the rates already passed with
-        loadings summing to ``x h`` of the product of their odds
-        ``u_l/(1 - u_l) = delta_l e^(z_l)``; ``norm`` is the product of
-        ``1 + odds``, so ``P(Lam = x h) = p[x]/norm``.  Rows are offset so
-        negative sums fit.
+        loadings summing to the ``j``-th reachable lattice point of the
+        product of their odds ``u_l/(1 - u_l) = delta_l e^(z_l)``; ``norm``
+        is the product of ``1 + odds``, so ``P(Lam = x h) = p[j]/norm``
+        for the ``j``-th point ``x``.
+        Absorbing a rate of ``a`` lattice steps moves the law from support
+        S to ``S | (S + a)`` with ``p[x] + p[x - a]*odds``, dropping a term
+        whose point is not in S.  The points never reached would hold zeros
+        that only ever add zero, so J is bitwise what a pass over the whole
+        lattice range gives.
         """
         paths = z.shape[0]
         if paths == 1:
@@ -130,28 +207,29 @@ class DriftEvaluator:
         live = np.flatnonzero(lam)[::-1]
         if self._jumps is None or live.size == 0:
             return out
-        units = [round(lam[col] * LOADING_QUANTA) // self._quanta
-                 for col in live]
-        absorbed = units[:-1]
-        origin = -sum(a for a in absorbed if a < 0)
-        p = np.zeros((origin + sum(a for a in absorbed if a > 0) + 1, paths))
-        p[origin] = 1.0
+        units = tuple(round(lam[col] * LOADING_QUANTA) // self._quanta
+                      for col in live)
+        p = np.ones((1, paths))
         norm = np.ones(paths)
-        first = last = origin
         with np.errstate(over="ignore", invalid="ignore"):
             odds = np.exp(z[:, live].T) * self.accruals[live, None]
-            for r, (col, a) in enumerate(zip(live, units)):
-                g = self._kernel(float(lam[col]), first - origin,
-                                 last - origin)
-                out[:, col] = np.einsum("jp,j->p", p[first:last + 1], g) / norm
-                if r == len(absorbed):
+            for r, (col, (support, segments)) in enumerate(
+                    zip(live, self._plan(units))):
+                g = self._kernel(float(lam[col]), support)
+                out[:, col] = np.einsum("jp,j->p", p, g) / norm
+                if not segments:
                     break
-                p[first + a:last + a + 1] += p[first:last + 1] * odds[r]
+                q = np.empty((segments[-1][0] + segments[-1][1], paths))
+                for dst, n, keep, shift in segments:
+                    t = q[dst:dst + n]
+                    if shift is None:
+                        t[...] = p[keep:keep + n]
+                        continue
+                    np.multiply(p[shift:shift + n], odds[r], out=t)
+                    if keep is not None:
+                        np.add(p[keep:keep + n], t, out=t)
+                p = q
                 norm *= 1.0 + odds[r]
-                if a > 0:
-                    last += a
-                else:
-                    first += a
         return out
 
     def jump_terms(self, s: float, z: np.ndarray) -> np.ndarray:
@@ -189,10 +267,19 @@ class DriftEvaluator:
         return out
 
     def frozen_table(self) -> np.ndarray:
-        """Deterministic drift table b(t_k, T_i; X(0)), shape (steps, rates)."""
-        z0 = self.setup.log_initial_rates
-        rows = [self.step_drift(k, z0[None, :])[0] for k in range(self.n_steps)]
-        return np.array(rows)
+        """Deterministic drift table b(t_k, T_i; X(0)), shape (steps, rates).
+
+        A step's row depends on the step only through its loadings and
+        Gaussian coefficient, so it is computed once per distinct pair.
+        """
+        z0 = self.setup.log_initial_rates[None, :]
+        keys = [(lam.tobytes(), c.tobytes())
+                for lam, c in zip(self.step_vols, self.step_gauss)]
+        rows: dict[tuple[bytes, bytes], np.ndarray] = {}
+        for k, key in enumerate(keys):
+            if key not in rows:
+                rows[key] = self.step_drift(k, z0)[0]
+        return np.array([rows[key] for key in keys])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the terminal-measure drift: the evaluator's lattice DP, its
 frozen tables, and the oracles it is checked against."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -11,14 +12,18 @@ import pytest
 
 from levylibor import (
     DriftEvaluator,
+    LevyTriplet,
+    PiecewiseConstant,
     bundled_setup,
     build_grid,
     drift_quadrature,
+    loading_lattice,
     nig_jump_cumulant,
     setup_from_dict,
     setup_to_dict,
 )
 from levylibor.drift import link_weight
+from levylibor.market import LOADING_QUANTA
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +159,23 @@ class TestDriftEvaluator:
         ev = DriftEvaluator(setup, grid)
         table = ev.frozen_table()
         z0 = setup.log_initial_rates[None, :]
-        assert np.array_equal(table[7], ev.step_drift(7, z0)[0])
+        for k in range(ev.n_steps):
+            assert np.array_equal(table[k], ev.step_drift(k, z0)[0])
+
+    def test_frozen_table_follows_the_gaussian_coefficient(self, setup):
+        # the coefficient changes inside the interval [0.5, 1], where the
+        # loadings do not: rows that share loadings must still differ
+        gauss = PiecewiseConstant(values=(0.01, 0.03, 0.0),
+                                  breaks=(0.75, 2.0))
+        mixed = dataclasses.replace(setup, triplet=LevyTriplet(
+            gauss=gauss, jumps=setup.triplet.jumps))
+        ev = DriftEvaluator(mixed, build_grid(mixed.tenor, 2))
+        table = ev.frozen_table()
+        z0 = mixed.log_initial_rates[None, :]
+        for k in range(ev.n_steps):
+            assert np.array_equal(table[k], ev.step_drift(k, z0)[0])
+        assert np.array_equal(ev.step_vols[2], ev.step_vols[3])
+        assert not np.array_equal(table[2], table[3])
 
     def test_dead_rates_have_zero_drift(self, setup):
         grid = build_grid(setup.tenor, 2)
@@ -202,6 +223,51 @@ def brute_force_jump_term(setup, s, i, state):
     return total
 
 
+def hull_jump_pass(ev, lam, z):
+    """Jump terms by the lattice DP over the whole hull of lattice points
+    between the extreme loading sums, unreachable points included: the
+    oracle the evaluator's pass over the reachable points must match bit
+    for bit, since an unreachable point only ever adds a zero."""
+    paths = z.shape[0]
+    if paths == 1:
+        return hull_jump_pass(ev, lam, np.repeat(z, 2, axis=0))[:1]
+    out = np.zeros((paths, ev.n_rates))
+    live = np.flatnonzero(lam)[::-1]
+    if ev.setup.triplet.jumps is None or live.size == 0:
+        return out
+    step = loading_lattice(ev.setup.vols)[0]
+    units = [round(lam[col] * LOADING_QUANTA) // step for col in live]
+    absorbed = units[:-1]
+    origin = -sum(a for a in absorbed if a < 0)
+    p = np.zeros((origin + sum(a for a in absorbed if a > 0) + 1, paths))
+    p[origin] = 1.0
+    norm = np.ones(paths)
+    first = last = origin
+    with np.errstate(over="ignore", invalid="ignore"):
+        odds = np.exp(z[:, live].T) * ev.accruals[live, None]
+        for r, (col, a) in enumerate(zip(live, units)):
+            x = (np.arange(first - origin, last - origin + 1) * step
+                 / LOADING_QUANTA)
+            g = (nig_jump_cumulant(lam[col] + x, ev.setup.triplet.jumps)
+                 - nig_jump_cumulant(x, ev.setup.triplet.jumps))
+            out[:, col] = np.einsum("jp,j->p", p[first:last + 1], g) / norm
+            if r == len(absorbed):
+                break
+            p[first + a:last + a + 1] += p[first:last + 1] * odds[r]
+            norm *= 1.0 + odds[r]
+            if a > 0:
+                last += a
+            else:
+                first += a
+    return out
+
+
+class HullEvaluator(DriftEvaluator):
+    """The evaluator with its jump pass replaced by :func:`hull_jump_pass`."""
+
+    _jump_pass = hull_jump_pass
+
+
 def regular_setup(loadings, name="regular"):
     """Semiannual setup with a flat 4% curve and the given per-rate
     loadings, on the bundled NIG driver."""
@@ -214,13 +280,89 @@ def regular_setup(loadings, name="regular"):
     return setup_from_dict(raw)
 
 
+REGULAR_LOADINGS = [
+    [0.20, 0.19, 0.18, 0.17, 0.16, 0.15, 0.14, 0.13, 0.12],
+    # negative loadings sit below the lattice origin
+    [0.1, -0.05, 0.15, 0.02, -0.12, 0.07, 0.2, -0.03, 0.11, 0.09],
+    [0.125, 0.13, 0.005, 0.25],
+]
+# 20 years semiannual, loadings falling from 0.05 to 0.02 on the 0.01
+# lattice: far past what a 2^m subset expansion could hold
+FORTY_LOADINGS = [round(5 - 3 * k / 39) / 100 for k in range(40)]
+
+
+def oracle_setups():
+    return ([("bundled", bundled_setup())]
+            + [(f"regular{k}", regular_setup(v))
+               for k, v in enumerate(REGULAR_LOADINGS)]
+            + [("forty", regular_setup(FORTY_LOADINGS, name="forty"))])
+
+
+class TestReachableSupport:
+    """The evaluator's pass runs on the reachable loading sums only; it
+    must reproduce the whole-hull pass bit for bit."""
+
+    @pytest.fixture(scope="class", params=oracle_setups(),
+                    ids=lambda named: named[0])
+    def pair(self, request):
+        setup = request.param[1]
+        grid = build_grid(setup.tenor, 1)
+        return DriftEvaluator(setup, grid), HullEvaluator(setup, grid)
+
+    @staticmethod
+    def states(setup, paths):
+        # the first rows each put one rate at an extreme state: overflow of
+        # the odds (+inf, 800), a collapsed rate (-inf) and nan
+        n = setup.n_rates
+        z = setup.log_initial_rates + np.random.default_rng(8).normal(
+            0.0, 0.8, size=(paths, n))
+        extremes = (np.inf, 800.0, -np.inf, np.nan)
+        for row in range(min(paths, 2 * len(extremes))):
+            z[row, (3 * row + 1) % n] = extremes[row % len(extremes)]
+        return z
+
+    @pytest.mark.parametrize("paths", [1, 2, 3, 257])
+    def test_matches_hull_pass_bitwise(self, pair, paths):
+        ev, hull = pair
+        whole = self.states(ev.setup, max(paths, 8))
+        # small batches slide over the rows, so each extreme state also
+        # runs in a batch of its own
+        batches = ([whole[j:j + paths] for j in range(8)] if paths < 8
+                   else [whole])
+        times = ev.mids[::2]
+        for z in batches:
+            for s in times:
+                assert np.array_equal(ev.jump_terms(s, z),
+                                      hull.jump_terms(s, z), equal_nan=True)
+            for k in range(ev.n_steps):
+                assert np.array_equal(ev.step_drift(k, z),
+                                      hull.step_drift(k, z), equal_nan=True)
+
+    def test_supports_are_the_reachable_sums(self, pair):
+        # every support a plan reduces on is the set of sums of subsets of
+        # the loadings absorbed before it, in lattice steps, enumerated
+        # point by point
+        ev, _ = pair
+        step = loading_lattice(ev.setup.vols)[0]
+        for lam in ev.step_vols:
+            live = np.flatnonzero(lam)[::-1]
+            if live.size == 0:
+                continue
+            units = tuple(round(lam[col] * LOADING_QUANTA) // step
+                          for col in live)
+            plan = ev._plan(units)
+            assert len(plan) == len(units)
+            sums = {0}
+            for (support, _), a in zip(plan, units):
+                points = [x for lo, hi in support for x in range(lo, hi + 1)]
+                assert points == sorted(sums)
+                assert all(hi + 1 < lo for (_, hi), (lo, _)
+                           in zip(support, support[1:]))
+                sums |= {x + a for x in sums}
+
+
 class TestLatticeDp:
-    @pytest.mark.parametrize("loadings", [
-        [0.20, 0.19, 0.18, 0.17, 0.16, 0.15, 0.14, 0.13, 0.12],
-        # negative loadings sit below the lattice origin
-        [0.1, -0.05, 0.15, 0.02, -0.12, 0.07, 0.2, -0.03, 0.11, 0.09],
-        [0.125, 0.13, 0.005, 0.25],
-    ])
+    @pytest.mark.parametrize("loadings", REGULAR_LOADINGS)
     def test_matches_brute_force_enumeration(self, loadings):
         setup = regular_setup(loadings)
         n = setup.n_rates
@@ -236,10 +378,7 @@ class TestLatticeDp:
                                            atol=1e-17)
 
     def test_forty_rates_match_quadrature(self):
-        # 20 years semiannual, loadings falling from 0.05 to 0.02 on the
-        # 0.01 lattice: far past what a 2^m subset expansion could hold
-        loadings = [round(5 - 3 * k / 39) / 100 for k in range(40)]
-        setup = regular_setup(loadings, name="forty")
+        setup = regular_setup(FORTY_LOADINGS, name="forty")
         ev = DriftEvaluator(setup, build_grid(setup.tenor, 1))
         rng = np.random.default_rng(5)
         z = setup.log_initial_rates + rng.normal(0.0, 0.5, size=40)

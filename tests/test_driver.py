@@ -30,6 +30,13 @@ from levylibor.driver import ExponentialMomentBound, validate_exponential_moment
 BENCH = NigParams(alpha=1.5, beta=0.0, delta=1.5, mu=0.0)
 
 
+def nig_fourth_cumulant_rate(p):
+    """Fourth cumulant of the NIG law per unit time,
+    3 delta alpha^2 (alpha^2 + 4 beta^2) / gamma^7."""
+    return (3.0 * p.delta * p.alpha**2 * (p.alpha**2 + 4.0 * p.beta**2)
+            / p.gamma**7)
+
+
 class TestCumulant:
     def test_symmetric_case_closed_form(self):
         # beta = mu = 0: kappa(u) = delta*(alpha - sqrt(alpha^2 - u^2))
@@ -107,20 +114,30 @@ class TestLevyDensity:
 
 class TestSamplers:
     def test_inverse_gaussian_moments(self):
+        n = 1_000_000
         rng = np.random.default_rng(12345)
-        z = sample_inverse_gaussian(1.0, 2.0, rng, size=1_000_000)
+        z = sample_inverse_gaussian(1.0, 2.0, rng, size=n)
         assert np.all(z > 0)
-        # IG(mean, shape): var = mean^3 / shape
-        assert z.mean() == pytest.approx(1.0, rel=5e-3)
-        assert z.var() == pytest.approx(0.5, rel=2e-2)
+        # IG(mean, shape): var = mean^3 / shape and fourth cumulant
+        # 15 mean^7 / shape^3; mean and sample variance within 4 standard
+        # errors, sqrt(var / n) and sqrt((kappa4 + 2 var^2) / n)
+        var, kappa4 = 0.5, 15.0 / 8.0
+        var_se = math.sqrt((kappa4 + 2.0 * var**2) / n)
+        assert abs(z.mean() - 1.0) < 4.0 * math.sqrt(var / n)
+        assert abs(z.var() - var) < 4.0 * var_se
 
     def test_nig_increment_moments(self):
+        n, dt = 1_000_000, 0.5
         rng = np.random.default_rng(12345)
-        x = sample_nig_increment(0.5, BENCH, rng, size=1_000_000)
+        x = sample_nig_increment(dt, BENCH, rng, size=n)
         se = x.std() / 1000.0
         assert abs(x.mean()) <= 4.0 * se
-        # var over dt = variance rate
-        assert x.var() == pytest.approx(0.5, rel=2e-2)
+        # var over dt = variance rate; the sample variance within 4 standard
+        # errors, with the fourth cumulant of the law over dt
+        var = nig_variance_rate(BENCH) * dt
+        kappa4 = nig_fourth_cumulant_rate(BENCH) * dt
+        var_se = math.sqrt((kappa4 + 2.0 * var**2) / n)
+        assert abs(x.var() - var) < 4.0 * var_se
 
     def test_moment_generating_function(self):
         # E[exp(u H_1)] = exp(kappa(u)); checked at a pinned seed within
@@ -232,10 +249,14 @@ class TestTripletIncrements:
         assert setup.triplet == self._triplet()
         engine = SimulationEngine(setup, build_grid(setup.tenor, 4))
         assert engine.grid.n_steps == 36
-        totals = engine.path_increments(314, 0, 4000).sum(axis=1)
+        n = 4000
+        totals = engine.path_increments(314, 0, n).sum(axis=1)
         horizon = 4.5 * nig_variance_rate(BENCH)
-        assert totals.var() == pytest.approx(horizon, rel=0.15)
-        assert abs(totals.mean()) < 4.0 * np.sqrt(horizon / 4000)
+        # sample variance within 4 standard errors, as in the sampler tests
+        kappa4 = 4.5 * nig_fourth_cumulant_rate(BENCH)
+        assert abs(totals.var() - horizon) < 4.0 * np.sqrt(
+            (kappa4 + 2.0 * horizon**2) / n)
+        assert abs(totals.mean()) < 4.0 * np.sqrt(horizon / n)
 
 
 class TestExponentialMomentValidation:
