@@ -26,14 +26,12 @@ from .driver import (
 )
 from .market import (
     BUNDLED_SETUP,
-    CurveOrderError,
     DiscountCurve,
     MarketSetup,
     SetupValidationReport,
     TenorStructure,
     VolatilityStructure,
     bundled_setup,
-    initial_libor,
     load_setup,
     loading_lattice,
     setup_from_dict,
@@ -70,7 +68,6 @@ from .pricing import (
     forward_swap_rate,
     price_caplet_mc,
     price_instruments_mc,
-    price_swaption_mc,
     swaption_payoffs,
     write_iv_surface,
     zero_strike_caplet_value,

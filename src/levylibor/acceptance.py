@@ -9,8 +9,9 @@ to the runners that consume it.
 Criteria overview:
 
 1. Terminal-rate martingale: under the terminal measure the last forward
-   rate is a martingale, so its simulated mean at the fixing date must match
-   the initial rate within Monte Carlo noise.
+   rate is a martingale, so its simulated mean at the fixing date (the
+   zero-strike caplet on it, over the caplet's scale) must match the
+   initial rate within Monte Carlo noise.
 2. Last-rate caplet oracle: the Monte Carlo caplet price on the last rate
    must agree with an independent one-dimensional quadrature price.
 3. Scheme coincidence: the last rate has a deterministic drift, so all
@@ -46,11 +47,12 @@ import numpy as np
 from .driver import SEED_LIMIT, nig_cumulant
 from .market import MarketSetup, bundled_setup, validate_setup
 from .drift import DriftEvaluator, drift_quadrature
-from .simulate import Scheme, SimulationEngine, build_grid
+from .simulate import DEFAULT_BATCH, Scheme, SimulationEngine, build_grid
 from .pricing import (
     CapletSpec,
     SwaptionSpec,
     ComparisonTable,
+    McEstimate,
     black76_implied_vol,
     black76_price,
     caplet_payoffs,
@@ -71,7 +73,11 @@ _FULL_SCALE_SINGLE_PATHS = 100_000
 
 @dataclass
 class CriterionResult:
-    """Outcome of one acceptance criterion."""
+    """Outcome of one acceptance criterion.
+
+    A criterion with a ``runtime_limit`` passes only if its checks hold and
+    it ran for less than that many seconds.
+    """
 
     index: int
     name: str
@@ -79,6 +85,10 @@ class CriterionResult:
     runtime_seconds: float
     runtime_limit: Optional[float] = None
     details: list = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.runtime_limit is not None:
+            self.passed = self.passed and self.runtime_seconds < self.runtime_limit
 
     @property
     def verdict(self) -> str:
@@ -104,13 +114,11 @@ def _whole_paths(engine, scheme, dh):
     return np.stack(list(engine.states(scheme, dh)), axis=2)
 
 
-def _within_limit(elapsed: float, limit: Optional[float]) -> bool:
-    return limit is None or elapsed < limit
-
-
-def _batch_ranges(n_paths: int, batch: int):
-    for start in range(0, n_paths, batch):
-        yield start, min(batch, n_paths - start)
+def _zero_strike_caplet(setup: MarketSetup, rate: int, seed: int,
+                        n_paths: int, substeps: int) -> McEstimate:
+    """Full-scheme Monte Carlo price of the zero-strike caplet on ``rate``."""
+    return price_caplet_mc(setup, CapletSpec(rate, 0.0), Scheme.FULL_SDE,
+                           n_paths, seed, substeps)
 
 
 def criterion_martingale_mean(
@@ -118,44 +126,31 @@ def criterion_martingale_mean(
     seed: int = DEFAULT_SEED,
     n_paths: int = _FULL_SCALE_SINGLE_PATHS,
     substeps: int = DEFAULT_SUBSTEPS,
-    runtime_limit: Optional[float] = 60.0,
 ) -> CriterionResult:
     """Criterion 1: simulated mean of the last rate at its fixing date.
 
     The last forward rate is a martingale under the terminal measure, so
     the full-recursion Monte Carlo mean of L(T_last, T_last) must lie
-    within three standard errors of L(0, T_last).
+    within three standard errors of L(0, T_last), with no invalid path.
+    That mean is the zero-strike caplet on the last rate, whose payoff is
+    ``delta_last * B(0, T_(last+1)) * L(T_last, T_last)``, over that scale.
     """
     start = time.perf_counter()
-    grid = build_grid(setup.tenor, substeps)
-    engine = SimulationEngine(setup, grid)
     last = setup.tenor.n_rates
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    for first, size in _batch_ranges(n_paths, 8192):
-        dh = engine.path_increments(seed, first, size)
-        paths = engine.evolve(Scheme.FULL_SDE, dh)
-        fix = engine.fixings(paths)
-        values = fix[:, last - 1, last - 1]
-        values = values[np.isfinite(values)]
-        total += float(values.sum())
-        total_sq += float(np.square(values).sum())
-        count += values.size
-    mean = total / count
-    var = (total_sq - count * mean * mean) / (count - 1)
-    se = math.sqrt(max(var, 0.0) / count)
+    estimate = _zero_strike_caplet(setup, last, seed, n_paths, substeps)
+    scale = setup.tenor.accrual(last) * setup.curve.bond(last + 1)
+    mean = estimate.price / scale
+    se = estimate.std_error / scale
     target = setup.initial_rate(last)
     dev = mean - target
     elapsed = time.perf_counter() - start
-    ok = abs(dev) <= 3.0 * se and count == n_paths
-    passed = ok and _within_limit(elapsed, runtime_limit)
+    passed = abs(dev) <= 3.0 * se and estimate.n_invalid == 0
     details = [
         "mean L(T_%d,T_%d) = %.8f, target %.8f" % (last, last, mean, target),
         "deviation %+.3g = %+.2f SE (SE %.3g), %d/%d valid paths"
-        % (dev, dev / se, se, count, n_paths),
+        % (dev, dev / se, se, estimate.n_paths, n_paths),
     ]
-    return CriterionResult(1, "terminal-rate martingale mean", passed, elapsed, runtime_limit, details)
+    return CriterionResult(1, "terminal-rate martingale mean", passed, elapsed, 60.0, details)
 
 
 def criterion_last_rate_caplet_oracle(
@@ -163,7 +158,6 @@ def criterion_last_rate_caplet_oracle(
     seed: int = DEFAULT_SEED,
     n_paths: int = _FULL_SCALE_SINGLE_PATHS,
     substeps: int = DEFAULT_SUBSTEPS,
-    runtime_limit: Optional[float] = None,
 ) -> CriterionResult:
     """Criterion 2: ATM caplet on the last rate versus density quadrature.
 
@@ -186,21 +180,18 @@ def criterion_last_rate_caplet_oracle(
     )
     dev = estimate.price - oracle
     elapsed = time.perf_counter() - start
-    passed = abs(dev) <= 3.0 * estimate.std_error and _within_limit(elapsed, runtime_limit)
+    passed = abs(dev) <= 3.0 * estimate.std_error
     details = [
         "mc %.8g vs quadrature %.8g" % (estimate.price, oracle),
         "deviation %+.3g = %+.2f SE (SE %.3g)" % (dev, dev / estimate.std_error, estimate.std_error),
     ]
-    return CriterionResult(2, "last-rate caplet vs quadrature oracle", passed, elapsed, runtime_limit, details)
+    return CriterionResult(2, "last-rate caplet vs quadrature oracle", passed, elapsed, details=details)
 
 
 def criterion_scheme_coincidence(
     setup: MarketSetup,
     seed: int = DEFAULT_SEED,
-    n_paths: int = 2048,
     substeps: int = DEFAULT_SUBSTEPS,
-    n_seeds: int = 3,
-    runtime_limit: Optional[float] = None,
 ) -> CriterionResult:
     """Criterion 3: all schemes coincide bitwise on the last rate.
 
@@ -216,9 +207,9 @@ def criterion_scheme_coincidence(
     spec = CapletSpec(last, strike)
     paths_ok = True
     prices_ok = True
-    for offset in range(n_seeds):
+    for offset in range(3):
         # Consecutive seeds, wrapping at 2^64 so every valid seed runs.
-        dh = engine.path_increments((seed + offset) % SEED_LIMIT, 0, n_paths)
+        dh = engine.path_increments((seed + offset) % SEED_LIMIT, 0, 2048)
         logs = {s: _whole_paths(engine, s, dh) for s in Scheme}
         payoffs = {}
         for s, arr in logs.items():
@@ -230,29 +221,25 @@ def criterion_scheme_coincidence(
             paths_ok &= bool(np.array_equal(logs[s][:, last - 1, :], ref))
             prices_ok &= bool(np.array_equal(payoffs[s], ref_pay))
     elapsed = time.perf_counter() - start
-    passed = paths_ok and prices_ok and _within_limit(elapsed, runtime_limit)
+    passed = paths_ok and prices_ok
     details = [
         "paths bit-identical across schemes: %s" % paths_ok,
         "caplet payoffs bit-identical across schemes: %s" % prices_ok,
-        "%d paths x %d seeds" % (n_paths, n_seeds),
+        "2048 paths x 3 seeds",
     ]
-    return CriterionResult(3, "last-rate scheme coincidence (bitwise)", passed, elapsed, runtime_limit, details)
+    return CriterionResult(3, "last-rate scheme coincidence (bitwise)", passed, elapsed, details=details)
 
 
 def criterion_drift_route_agreement(
     setup: MarketSetup,
     seed: int = DEFAULT_SEED,
-    n_states: int = 100,
-    tolerance: float = 1e-6,
-    runtime_limit: Optional[float] = 30.0,
 ) -> CriterionResult:
     """Criterion 4: the engine's drift evaluator versus quadrature drift.
 
     Evaluates the jump term of the drift through the
     :class:`~levylibor.drift.DriftEvaluator` the engine runs and through the
     quadrature oracle, on random log-rate states at random times for every
-    rate index, and requires relative agreement within the stated
-    tolerance.
+    rate index, and requires relative agreement within 1e-6.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -262,7 +249,7 @@ def criterion_drift_route_agreement(
     evaluator = DriftEvaluator(setup, build_grid(setup.tenor, 1))
     worst = 0.0
     worst_where = (0, 0.0)
-    for _ in range(n_states):
+    for _ in range(100):
         values = setup.log_initial_rates + rng.normal(0.0, 0.5, size=n)
         for i in range(1, n + 1):
             s = rng.uniform(0.0, setup.tenor.date(i))
@@ -274,12 +261,12 @@ def criterion_drift_route_agreement(
                 worst = rel
                 worst_where = (i, s)
     elapsed = time.perf_counter() - start
-    passed = worst <= tolerance and _within_limit(elapsed, runtime_limit)
+    passed = worst <= 1e-6
     details = [
-        "max relative difference %.3g (tolerance %.1g)" % (worst, tolerance),
-        "worst at rate %d, time %.4f; %d states x %d rates" % (worst_where[0], worst_where[1], n_states, n),
+        "max relative difference %.3g (tolerance 1e-06)" % worst,
+        "worst at rate %d, time %.4f; 100 states x %d rates" % (worst_where[0], worst_where[1], n),
     ]
-    return CriterionResult(4, "drift route agreement (lattice DP vs quadrature)", passed, elapsed, runtime_limit, details)
+    return CriterionResult(4, "drift route agreement (lattice DP vs quadrature)", passed, elapsed, 30.0, details)
 
 
 def build_comparison(
@@ -300,8 +287,6 @@ def build_comparison(
 def criterion_taylor_iv_accuracy(
     table: ComparisonTable,
     build_seconds: float,
-    tolerance: float = 0.01,
-    runtime_limit: Optional[float] = 900.0,
 ) -> CriterionResult:
     """Criterion 5: two-stage implied vols within one vol point of full.
 
@@ -323,21 +308,20 @@ def criterion_taylor_iv_accuracy(
             worst = abs(diff)
             worst_cell = cell
     elapsed = build_seconds + (time.perf_counter() - start)
-    passed = not failures and worst < tolerance and _within_limit(elapsed, runtime_limit)
+    passed = not failures and worst < 0.01
     details = [
-        "max |iv(two-stage) - iv(full)| = %.3g (tolerance %.2g)" % (worst, tolerance),
+        "max |iv(two-stage) - iv(full)| = %.3g (tolerance 0.01)" % worst,
         "%d caplet cells, %d implied-vol failures" % (len(cells), len(failures)),
     ]
     if worst_cell is not None:
         details.append(
             "worst cell: maturity index %d, moneyness %.2f" % (worst_cell.maturity_index, worst_cell.moneyness)
         )
-    return CriterionResult(5, "two-stage implied-vol accuracy", passed, elapsed, runtime_limit, details)
+    return CriterionResult(5, "two-stage implied-vol accuracy", passed, elapsed, 900.0, details)
 
 
 def criterion_frozen_iv_pattern(
     table: ComparisonTable,
-    runtime_limit: Optional[float] = None,
 ) -> CriterionResult:
     """Criterion 6: frozen-drift error dominates and sits at ITM strikes.
 
@@ -377,7 +361,6 @@ def criterion_frozen_iv_pattern(
         and dominates
         and itm_concentrated
         and builds_with_time
-        and _within_limit(elapsed, runtime_limit)
     )
     maturities = sorted({i for i, _ in frozen})
     profile = ", ".join("T_%d: %.2e" % (i, max(v for (j, m), v in frozen.items() if j == i)) for i in maturities)
@@ -391,12 +374,11 @@ def criterion_frozen_iv_pattern(
     ]
     if incomplete:
         details.append("cells without both implied vols: %d" % incomplete)
-    return CriterionResult(6, "frozen-drift implied-vol deficiency pattern", passed, elapsed, runtime_limit, details)
+    return CriterionResult(6, "frozen-drift implied-vol deficiency pattern", passed, elapsed, details=details)
 
 
 def criterion_swaption_consistency(
     table: ComparisonTable,
-    runtime_limit: Optional[float] = None,
 ) -> CriterionResult:
     """Criterion 7: swaption grid consistency and frozen-error growth.
 
@@ -450,14 +432,14 @@ def criterion_swaption_consistency(
             % (expiry, ", ".join("%.3e" % d for d in diffs), len(drops), "ok" if group_ok else "violated")
         )
     elapsed = time.perf_counter() - start
-    passed = not violations and trend_ok and _within_limit(elapsed, runtime_limit)
+    passed = not violations and trend_ok
     details = ["ITM cells with two-stage gap above allowance: %d" % len(violations)]
     details += ["  expiry %d end %d moneyness %.2f gap %.3g > %.3g" % v for v in violations]
     details += trend_lines
-    return CriterionResult(7, "swaption grid consistency and frozen growth", passed, elapsed, runtime_limit, details)
+    return CriterionResult(7, "swaption grid consistency and frozen growth", passed, elapsed, details=details)
 
 
-def _check_black76_round_trip(tolerance: float = 1e-8):
+def _check_black76_round_trip():
     worst = 0.0
     for strike_ratio in (0.7, 1.0, 1.3):
         for vol in (0.12, 0.2, 0.35):
@@ -467,10 +449,10 @@ def _check_black76_round_trip(tolerance: float = 1e-8):
                 price = black76_price(forward, strike, vol, expiry, 0.9, accrual=0.5)
                 recovered = black76_implied_vol(price, forward, strike, expiry, 0.9, accrual=0.5)
                 worst = max(worst, abs(recovered - vol))
-    return worst <= tolerance, "implied-vol round trip max error %.3g (tolerance 1e-08)" % worst
+    return worst <= 1e-8, "implied-vol round trip max error %.3g (tolerance 1e-08)" % worst
 
 
-def _check_single_period_swaption(setup, engine, dh, tolerance: float = 1e-13):
+def _check_single_period_swaption(setup, engine, dh):
     fix = engine.fixings(engine.evolve(Scheme.FULL_SDE, dh))
     products = chain_products(fix, setup)
     worst = 0.0
@@ -479,7 +461,7 @@ def _check_single_period_swaption(setup, engine, dh, tolerance: float = 1e-13):
         cap = caplet_payoffs(products, fix, CapletSpec(i, strike), setup)
         swp = swaption_payoffs(products, SwaptionSpec(i, i + 1, strike), setup)
         worst = max(worst, float(np.max(np.abs(cap - swp))))
-    return worst <= tolerance, "single-period swaption vs caplet: max |payoff gap| %.3g (tolerance %.0e)" % (worst, tolerance)
+    return worst <= 1e-13, "single-period swaption vs caplet: max |payoff gap| %.3g (tolerance 1e-13)" % worst
 
 
 def _check_stage_one_identity(engine, dh):
@@ -519,14 +501,7 @@ def _check_cumulant_values(setup):
 
 def _check_zero_strike_caplet(setup, seed, n_paths, substeps):
     rate = 5
-    estimate = price_caplet_mc(
-        setup,
-        CapletSpec(rate, 0.0),
-        scheme=Scheme.FULL_SDE,
-        n_paths=n_paths,
-        seed=seed,
-        substeps=substeps,
-    )
+    estimate = _zero_strike_caplet(setup, rate, seed, n_paths, substeps)
     target = zero_strike_caplet_value(setup, rate)
     dev = estimate.price - target
     ok = abs(dev) <= 3.0 * estimate.std_error
@@ -552,7 +527,8 @@ def _check_grid_refinement(setup, seed, n_paths, substeps):
     spec = CapletSpec(rate, setup.initial_rate(rate))
     pay_coarse = []
     pay_fine = []
-    for first, size in _batch_ranges(n_paths, 8192):
+    for first in range(0, n_paths, DEFAULT_BATCH):
+        size = min(DEFAULT_BATCH, n_paths - first)
         dh_fine = engine_fine.path_increments(seed, first, size)
         dh_coarse = dh_fine.reshape(size, coarse.n_steps, 2).sum(axis=2)
         for engine, dh, sink in (
@@ -579,7 +555,6 @@ def criterion_unit_property_suite(
     seed: int = DEFAULT_SEED,
     n_paths: int = 20_000,
     substeps: int = DEFAULT_SUBSTEPS,
-    runtime_limit: Optional[float] = 60.0,
 ) -> CriterionResult:
     """Criterion 8: bundled unit and property checks with a runtime cap."""
     start = time.perf_counter()
@@ -595,9 +570,9 @@ def criterion_unit_property_suite(
         _check_grid_refinement(setup, seed, n_paths, substeps),
     ]
     elapsed = time.perf_counter() - start
-    passed = all(ok for ok, _ in checks) and _within_limit(elapsed, runtime_limit)
+    passed = all(ok for ok, _ in checks)
     details = ["[%s] %s" % ("ok" if ok else "FAIL", msg) for ok, msg in checks]
-    return CriterionResult(8, "unit/property suite", passed, elapsed, runtime_limit, details)
+    return CriterionResult(8, "unit/property suite", passed, elapsed, 60.0, details)
 
 
 def run_all(

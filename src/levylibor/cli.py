@@ -71,9 +71,6 @@ def _add_common(parser: argparse.ArgumentParser, pricing: bool) -> None:
                         help="market setup file (default: bundled setup)")
     if not pricing:
         return
-    parser.add_argument("--scheme", default="full",
-                        choices=[s.value for s in Scheme],
-                        help="simulation scheme (default: full)")
     parser.add_argument("--paths", type=int, default=100_000, metavar="N",
                         help="Monte Carlo paths (default: 100000)")
     parser.add_argument("--seed", type=_seed, default=acceptance.DEFAULT_SEED,
@@ -83,6 +80,12 @@ def _add_common(parser: argparse.ArgumentParser, pricing: bool) -> None:
                         help="time steps per accrual period (default: 4)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="output CSV path (default: stdout)")
+
+
+def _add_scheme(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scheme", default="full",
+                        choices=[s.value for s in Scheme],
+                        help="simulation scheme (default: full)")
 
 
 def _load(args: argparse.Namespace) -> MarketSetup:
@@ -248,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("price-caplets", help="price caplets by Monte Carlo")
     _add_common(p, pricing=True)
+    _add_scheme(p)
     p.add_argument("--rate", type=int, action="append", metavar="I",
                    help="rate index (repeatable; default: all rates)")
     p.add_argument("--strike", type=float, default=None,
@@ -259,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("price-swaptions", help="price swaptions by Monte Carlo")
     _add_common(p, pricing=True)
+    _add_scheme(p)
     p.add_argument("--expiry", type=int, default=None, metavar="I",
                    help="option expiry rate index")
     p.add_argument("--end", type=int, default=None, metavar="M",
@@ -273,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed-leg coupon convention (default: accrual)")
     p.set_defaults(func=_cmd_price_swaptions)
 
-    p = sub.add_parser("compare",
+    # No abbreviations: --scheme would be read as a prefix of --schemes.
+    p = sub.add_parser("compare", allow_abbrev=False,
                        help="price the instrument grids under several "
                             "schemes on common random numbers")
     _add_common(p, pricing=True)

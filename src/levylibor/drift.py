@@ -118,7 +118,7 @@ class DriftEvaluator:
 
     def __init__(self, setup: MarketSetup, grid) -> None:
         self.setup = setup
-        times = np.asarray(getattr(grid, "times", grid), dtype=float)
+        times = grid.times
         if times.size < 2 or np.any(np.diff(times) <= 0.0):
             raise ValueError("grid times must be strictly increasing")
         self.times = times

@@ -39,10 +39,6 @@ LOADING_QUANTA = 10**6
 MAX_LATTICE_POINTS = 2048
 
 
-class CurveOrderError(ValueError):
-    """Discount curve violates positivity or strict monotonicity."""
-
-
 @dataclass(frozen=True)
 class TenorStructure:
     """Increasing payment dates ``T_0 < ... < T_(N+1)``; N forward rates."""
@@ -189,38 +185,11 @@ def loading_lattice(vols: VolatilityStructure) -> tuple[int, int]:
     return step, points
 
 
-def initial_libor(curve: DiscountCurve, tenor: TenorStructure) -> np.ndarray:
-    """Initial forward rates bootstrapped from the curve.
-
-    ``L(0, T_i) = (B(0, T_i)/B(0, T_(i+1)) - 1)/delta_i`` for ``i`` in 1..N.
-
-    Raises
-    ------
-    CurveOrderError
-        Naming the first offending maturity pair if any bond is nonpositive
-        or any ratio fails ``B(0, T_i) > B(0, T_(i+1))``.
-    """
-    n = tenor.n_rates
-    if len(curve.bonds) != n + 1:
-        raise ValueError("curve must quote bonds for T_1 .. T_(N+1)")
-    for k in range(1, n + 2):
-        if curve.bond(k) <= 0.0:
-            raise CurveOrderError(f"bond price B(0, T_{k}) = {curve.bond(k)} "
-                                  "is not positive")
-    for i in range(1, n + 1):
-        if curve.bond(i) <= curve.bond(i + 1):
-            raise CurveOrderError(
-                f"bond prices must decrease strictly: B(0, T_{i}) = "
-                f"{curve.bond(i)} <= B(0, T_{i + 1}) = {curve.bond(i + 1)}"
-            )
-    out = _bootstrap(curve, tenor)
-    out.setflags(write=False)
-    return out
-
-
 def _bootstrap(curve: DiscountCurve, tenor: TenorStructure) -> np.ndarray:
-    """The bootstrap formula alone, without economic checks: bad curves
-    yield rates <= 0, or non-finite ones where a bond price is zero."""
+    """Initial forward rates ``(B(0, T_i)/B(0, T_(i+1)) - 1)/delta_i``,
+    ``i`` in 1..N, without economic checks (:func:`validate_setup` reports
+    those): bad curves yield rates <= 0, or non-finite ones where a bond
+    price is zero."""
     bonds = np.asarray(curve.bonds, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (bonds[:-1] / bonds[1:] - 1.0) / tenor.accruals[1:]

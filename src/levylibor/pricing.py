@@ -29,6 +29,9 @@ from .simulate import DEFAULT_BATCH, Scheme, SimulationEngine, build_grid
 DEFAULT_MONEYNESS = (0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3)
 DEFAULT_SWAPTION_PAIRS = ((2, 4), (2, 5), (2, 6), (2, 7),
                           (4, 6), (4, 7), (4, 8), (4, 9))
+# Black-76 inversion: the vol bracket and the bracket width that ends a
+# bisection.
+IV_LO, IV_HI, IV_TOL = 1e-4, 5.0, 1e-10
 
 
 class CouponConvention(Enum):
@@ -215,8 +218,7 @@ def black76_price(forward, strike, vol, expiry, discount=1.0, accrual=1.0):
 
 
 def _iv_error(side: str, price: float, forward: float, strike: float,
-              expiry: float, floor: float, cap: float, lo: float,
-              hi: float) -> ImpliedVolError:
+              expiry: float, floor: float, cap: float) -> ImpliedVolError:
     if side == "nan":
         return ImpliedVolError(
             f"no implied volatility for price {price:.8g}, forward "
@@ -228,21 +230,22 @@ def _iv_error(side: str, price: float, forward: float, strike: float,
     if side == "lower":
         return ImpliedVolError(
             f"price {price:.8g} below the bracket floor {floor:.8g} "
-            f"(vol {lo:g}); at or under intrinsic value", price, floor, side)
+            f"(vol {IV_LO:g}); at or under intrinsic value", price, floor,
+            side)
     return ImpliedVolError(
-        f"price {price:.8g} above the bracket cap {cap:.8g} (vol {hi:g})",
+        f"price {price:.8g} above the bracket cap {cap:.8g} (vol {IV_HI:g})",
         price, cap, side)
 
 
 def black76_implied_vols(price, forward, strike, expiry, discount=1.0,
-                         accrual=1.0, lo: float = 1e-4, hi: float = 5.0,
-                         tol: float = 1e-10
+                         accrual=1.0
                          ) -> tuple[np.ndarray, dict[int, ImpliedVolError]]:
-    """Invert Black-76 for many cells at once by bisection on [lo, hi].
+    """Invert Black-76 for many cells at once by bisection on
+    [``IV_LO``, ``IV_HI``].
 
     The arguments broadcast together and are read flat.  Every cell
-    bisects until its bracket is narrower than ``tol`` in vol units (or a
-    midpoint prices it exactly), so each vol is within ``tol`` of its root
+    bisects until its bracket is narrower than ``IV_TOL`` in vol units (or a
+    midpoint prices it exactly), so each vol is within ``IV_TOL`` of its root
     however flat the price is in vol.  Returns the vols, nan where a cell
     fails, and an :class:`ImpliedVolError` per failed cell keyed by its
     flat index.
@@ -250,8 +253,8 @@ def black76_implied_vols(price, forward, strike, expiry, discount=1.0,
     price, forward, strike, expiry, discount, accrual = (
         x.ravel() for x in np.broadcast_arrays(
             price, forward, strike, expiry, discount, accrual))
-    floor = black76_price(forward, strike, lo, expiry, discount, accrual)
-    cap = black76_price(forward, strike, hi, expiry, discount, accrual)
+    floor = black76_price(forward, strike, IV_LO, expiry, discount, accrual)
+    cap = black76_price(forward, strike, IV_HI, expiry, discount, accrual)
     finite = np.isfinite([price, forward, strike, expiry, discount,
                           accrual]).all(axis=0)
     side = np.select(
@@ -261,14 +264,14 @@ def black76_implied_vols(price, forward, strike, expiry, discount=1.0,
     failures = {
         int(j): _iv_error(str(side[j]), float(price[j]), float(forward[j]),
                           float(strike[j]), float(expiry[j]), float(floor[j]),
-                          float(cap[j]), lo, hi)
+                          float(cap[j]))
         for j in np.flatnonzero(side != "")
     }
 
     vols = np.full(price.size, math.nan)
     live = np.flatnonzero(side == "")
-    a = np.full(live.size, lo)
-    b = np.full(live.size, hi)
+    a = np.full(live.size, IV_LO)
+    b = np.full(live.size, IV_HI)
     todo = np.arange(live.size)
     for _ in range(200):
         if todo.size == 0:
@@ -283,7 +286,7 @@ def black76_implied_vols(price, forward, strike, expiry, discount=1.0,
         up = diff > 0.0
         b[todo[up]] = mid[up]
         a[todo[~up]] = mid[~up]
-        todo = todo[~hit & (b[todo] - a[todo] > tol)]
+        todo = todo[~hit & (b[todo] - a[todo] > IV_TOL)]
     bisected = np.isnan(vols[live])
     vols[live[bisected]] = 0.5 * (a[bisected] + b[bisected])
     return vols, failures
@@ -291,13 +294,12 @@ def black76_implied_vols(price, forward, strike, expiry, discount=1.0,
 
 def black76_implied_vol(price: float, forward: float, strike: float,
                         expiry: float, discount: float = 1.0,
-                        accrual: float = 1.0, lo: float = 1e-4,
-                        hi: float = 5.0, tol: float = 1e-10) -> float:
+                        accrual: float = 1.0) -> float:
     """Invert Black-76 for one cell: :func:`black76_implied_vols` on a
     single element.  Raises :class:`ImpliedVolError` naming the violated
     bound, or side ``"nan"`` for a non-finite input."""
     vols, failures = black76_implied_vols(price, forward, strike, expiry,
-                                          discount, accrual, lo, hi, tol)
+                                          discount, accrual)
     if failures:
         raise failures[0]
     return float(vols[0])
@@ -372,8 +374,7 @@ def price_instruments_mc(setup: MarketSetup,
                          caplets: Sequence[CapletSpec],
                          swaptions: Sequence[SwaptionSpec],
                          schemes: Sequence[Scheme],
-                         n_paths: int, seed: int, substeps: int = 4,
-                         batch_size: int = DEFAULT_BATCH
+                         n_paths: int, seed: int, substeps: int = 4
                          ) -> dict[Scheme, tuple[list[McEstimate],
                                                  list[McEstimate]]]:
     """Price many instruments under several schemes on shared increments.
@@ -420,8 +421,8 @@ def price_instruments_mc(setup: MarketSetup,
             a.n_valid += n_valid
             a.n_invalid += count - n_valid
 
-    for start in range(0, n_paths, batch_size):
-        add_batch(start, min(batch_size, n_paths - start))
+    for start in range(0, n_paths, DEFAULT_BATCH):
+        add_batch(start, min(DEFAULT_BATCH, n_paths - start))
 
     out: dict[Scheme, tuple[list[McEstimate], list[McEstimate]]] = {}
     for scheme in schemes:
@@ -446,19 +447,10 @@ def price_instruments_mc(setup: MarketSetup,
 
 
 def price_caplet_mc(setup: MarketSetup, spec: CapletSpec, scheme: Scheme,
-                    n_paths: int, seed: int, substeps: int = 4,
-                    batch_size: int = DEFAULT_BATCH) -> McEstimate:
+                    n_paths: int, seed: int, substeps: int = 4) -> McEstimate:
     res = price_instruments_mc(setup, [spec], [], [scheme], n_paths, seed,
-                               substeps, batch_size=batch_size)
+                               substeps)
     return res[scheme][0][0]
-
-
-def price_swaption_mc(setup: MarketSetup, spec: SwaptionSpec, scheme: Scheme,
-                      n_paths: int, seed: int, substeps: int = 4,
-                      batch_size: int = DEFAULT_BATCH) -> McEstimate:
-    res = price_instruments_mc(setup, [], [spec], [scheme], n_paths, seed,
-                               substeps, batch_size=batch_size)
-    return res[scheme][1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +563,13 @@ def write_iv_surface(table: ComparisonTable, scheme: Scheme, file) -> None:
 def compare_schemes(setup: MarketSetup, n_paths: int, seed: int,
                     substeps: int = 4,
                     moneyness: Sequence[float] = DEFAULT_MONEYNESS,
-                    swaption_pairs: Sequence[tuple[int, int]] = DEFAULT_SWAPTION_PAIRS,
                     schemes: Sequence[Scheme] = (Scheme.FULL_SDE,
                                                  Scheme.FROZEN_DRIFT,
-                                                 Scheme.STRONG_TAYLOR),
-                    convention: CouponConvention = CouponConvention.ACCRUAL,
-                    batch_size: int = DEFAULT_BATCH) -> ComparisonTable:
-    """Price the caplet and swaption grids under every scheme on common
-    random numbers and quote caplets as Black-76 implied vols."""
+                                                 Scheme.STRONG_TAYLOR)
+                    ) -> ComparisonTable:
+    """Price the caplet grid and the ``DEFAULT_SWAPTION_PAIRS`` swaptions
+    (accrual coupons) under every scheme on common random numbers and quote
+    caplets as Black-76 implied vols."""
     if Scheme.FULL_SDE not in schemes:
         raise ValueError("comparisons are quoted against the full scheme")
     cells: list[ComparisonCell] = []
@@ -593,19 +584,18 @@ def compare_schemes(setup: MarketSetup, n_paths: int, seed: int,
                 instrument="caplet", maturity_index=i, end_index=None,
                 strike=strike, moneyness=m, forward=forward,
                 expiry=setup.tenor.date(i)))
-    for (i, end) in swaption_pairs:
-        forward = forward_swap_rate(setup, i, end, convention)
+    for (i, end) in DEFAULT_SWAPTION_PAIRS:
+        forward = forward_swap_rate(setup, i, end)
         for m in moneyness:
             strike = m * forward
-            swaption_specs.append(SwaptionSpec(i, end, strike, convention))
+            swaption_specs.append(SwaptionSpec(i, end, strike))
             cells.append(ComparisonCell(
                 instrument=f"swaption_{i}_{end}", maturity_index=i,
                 end_index=end, strike=strike, moneyness=m, forward=forward,
                 expiry=setup.tenor.date(i)))
 
     results = price_instruments_mc(setup, caplet_specs, swaption_specs,
-                                   schemes, n_paths, seed, substeps,
-                                   batch_size=batch_size)
+                                   schemes, n_paths, seed, substeps)
 
     n_caplets = len(caplet_specs)
     for scheme in schemes:

@@ -40,6 +40,9 @@ from .drift import DriftEvaluator
 from .driver import SEED_LIMIT, block_rng, sample_nig_increment
 from .market import MarketSetup, TenorStructure
 
+# Paths per batch of every Monte Carlo estimator.  A path does not depend
+# on its batch, but estimators sum batch by batch, so changing this moves
+# prices in the last bits.
 DEFAULT_BATCH = 4096
 # Paths per random stream; fixed, so no batch size can move a path's draws.
 RNG_BLOCK = 1024
@@ -121,8 +124,8 @@ class SimulationEngine:
         triplet = setup.triplet
         mids = self.evaluator.mids
         self._drift_dt = np.array([triplet.drift(t) for t in mids]) * self.dt
-        gauss = np.array([triplet.gauss(t) for t in mids])
-        self._gauss_sd = np.sqrt(gauss * self.dt) if triplet.has_gauss else None
+        self._gauss_sd = (np.sqrt(self.evaluator.step_gauss * self.dt)
+                          if triplet.has_gauss else None)
         self._jumps = triplet.jumps
 
     # -- driver increments -------------------------------------------------

@@ -217,6 +217,15 @@ class TestCompare:
         assert code == 2
         assert "full" in err
 
+    def test_scheme_option_is_a_usage_error(self, capsys):
+        # compare takes --schemes only; --scheme, even as a prefix of
+        # --schemes, must not be taken and ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--scheme", "taylor", "--schemes", "full,frozen",
+                  "--paths", "10"])
+        assert exc.value.code == 2
+        assert "--scheme" in capsys.readouterr().err
+
     def test_iv_failures_counted_on_stderr(self, capsys):
         # at 10 paths some deep cells price under intrinsic: stderr counts
         # the failures per scheme by side, stdout holds the CSV alone

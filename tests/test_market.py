@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from levylibor import (
     BUNDLED_SETUP,
-    CurveOrderError,
     DiscountCurve,
     MarketSetup,
     NigParams,
@@ -19,7 +18,6 @@ from levylibor import (
     TenorStructure,
     VolatilityStructure,
     bundled_setup,
-    initial_libor,
     load_setup,
     loading_lattice,
     setup_from_dict,
@@ -64,19 +62,27 @@ class TestDiscountCurveAndRates:
             rebuilt = 1.0 + setup.tenor.accrual(i) * setup.initial_rate(i)
             assert rebuilt == pytest.approx(ratio, rel=1e-12)
 
-    def test_increasing_curve_is_rejected(self):
-        tenor = TenorStructure.regular(2, 0.5)
-        curve = DiscountCurve((0.95, 0.96, 0.90))
-        with pytest.raises(CurveOrderError) as err:
-            initial_libor(curve, tenor)
-        assert "1" in str(err.value) and "2" in str(err.value)
+    @staticmethod
+    def _curve_order(setup, bonds):
+        tenor = TenorStructure.regular(len(bonds) - 1, 0.5)
+        curved = MarketSetup(
+            tenor=tenor, curve=DiscountCurve(bonds),
+            vols=VolatilityStructure.flat_per_rate(tenor,
+                                                   [0.1] * tenor.n_rates),
+            triplet=setup.triplet, em=setup.em)
+        return validate_setup(curved).item("curve_order")
 
-    def test_flat_curve_is_rejected(self):
+    def test_increasing_curve_is_rejected(self, setup):
+        item = self._curve_order(setup, (0.95, 0.96, 0.90))
+        assert not item.passed
+        assert item.detail == "B(0, T_1) = 0.95 <= B(0, T_2) = 0.96"
+
+    def test_flat_curve_is_rejected(self, setup):
         # zero rates would need strictly decreasing bonds; a flat curve
         # has none
-        tenor = TenorStructure.regular(3, 0.5)
-        with pytest.raises(CurveOrderError):
-            initial_libor(DiscountCurve((1.0, 1.0, 1.0, 1.0)), tenor)
+        item = self._curve_order(setup, (1.0, 1.0, 1.0, 1.0))
+        assert not item.passed
+        assert item.detail == "B(0, T_1) = 1.0 <= B(0, T_2) = 1.0"
 
     def test_bond_index_is_one_based(self, setup):
         with pytest.raises(IndexError):

@@ -27,7 +27,6 @@ from levylibor import (
     forward_swap_rate,
     price_caplet_mc,
     price_instruments_mc,
-    price_swaption_mc,
     setup_from_dict,
     setup_to_dict,
     swaption_payoffs,
@@ -293,11 +292,11 @@ class TestMonteCarloEstimators:
 
     def test_single_period_swaption_equals_caplet(self, setup):
         strike = setup.initial_rate(6)
-        kwargs = dict(n_paths=3000, seed=13, substeps=2)
-        cap = price_caplet_mc(setup, CapletSpec(6, strike),
-                              Scheme.FULL_SDE, **kwargs)
-        swp = price_swaption_mc(setup, SwaptionSpec(6, 7, strike),
-                                Scheme.FULL_SDE, **kwargs)
+        res = price_instruments_mc(setup, [CapletSpec(6, strike)],
+                                   [SwaptionSpec(6, 7, strike)],
+                                   [Scheme.FULL_SDE], n_paths=3000, seed=13,
+                                   substeps=2)
+        (cap,), (swp,) = res[Scheme.FULL_SDE]
         assert swp.price == pytest.approx(cap.price, rel=1e-12)
         assert swp.std_error == pytest.approx(cap.std_error, rel=1e-10)
 
