@@ -11,9 +11,7 @@ from .driver import (
     CumulantDomainError,
     ExponentialMomentBound,
     ExponentialMomentReport,
-    LevyTriplet,
     NigParams,
-    PiecewiseConstant,
     block_rng,
     nig_cumulant,
     nig_jump_cumulant,

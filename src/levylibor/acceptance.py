@@ -477,7 +477,7 @@ def _check_stage_one_identity(engine, dh):
 
 
 def _check_cumulant_values(setup):
-    p = setup.triplet.jumps
+    p = setup.nig
     alpha = Fraction(3, 2)
     delta = Fraction(3, 2)
     u = Fraction(36, 25)

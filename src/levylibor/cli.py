@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -63,6 +64,17 @@ def _seed(text: str) -> int:
     if not 0 <= value < SEED_LIMIT:
         raise argparse.ArgumentTypeError(
             f"must lie in [0, 2^64), got {value}")
+    return value
+
+
+def _paths_scale(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {value}")
     return value
 
 
@@ -301,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N", help="master seed in [0, 2^64)")
     p.add_argument("--substeps", type=int, default=4, metavar="N",
                    help="time steps per accrual period (default: 4)")
-    p.add_argument("--paths-scale", type=float, default=1.0, metavar="X",
+    p.add_argument("--paths-scale", type=_paths_scale, default=1.0,
+                   metavar="X",
                    help="rescale all path counts (smoke runs only)")
     p.add_argument("--out-dir", default=".", metavar="DIR",
                    help="directory for comparison artifacts (default: .)")

@@ -1,12 +1,10 @@
 """Terminal-measure drift of the log forward rates.
 
 Under the terminal measure the log of rate ``i`` carries the state-dependent
-drift rate
-
-    b(s, T_i; z) = -c(s)*lam_i^2/2 - c(s)*lam_i*sum_(l>i) u_l*lam_l - J,
+drift rate ``b(s, T_i; z) = -J``, the driver being pure jump, with
 
     J = int ( (e^(lam_i x) - 1) * prod_(l>i) [u_l*(e^(lam_l x) - 1) + 1]
-              - lam_i x ) F_s(dx),
+              - lam_i x ) F(dx),
 
 where ``u_l = delta_l e^(z_l) / (1 + delta_l e^(z_l))`` links rate ``l`` to
 the chain of forward measures.  The product is the moment generating
@@ -15,15 +13,14 @@ function ``E[e^(Lam x)]`` of ``Lam = sum_(l>i) B_l lam_l`` with independent
 
     J = E[ kappa(lam_i + Lam) - kappa(Lam) ],
 
-with ``kappa`` the compensated jump cumulant; the Gaussian cross term
-``sum u_l lam_l`` is ``E[Lam]``.  The loadings are whole multiples of a
-lattice step ``h`` (:func:`~levylibor.market.loading_lattice`), so ``Lam``
-lives on that lattice, and only on the points that sums of subsets of the
-later loadings reach: a few bands of it.  :class:`DriftEvaluator` builds its
-law per path on those points in one pass from the back of the tenor,
-absorbing one rate per iteration, and reduces it against the state-free
-vector ``kappa(lam_i + x h) - kappa(x h)``: O(paths * rates * reachable
-lattice points) per step.  It is the only drift route of the engine.
+with ``kappa`` the compensated jump cumulant.  The loadings are whole
+multiples of a lattice step ``h`` (:func:`~levylibor.market.loading_lattice`),
+so ``Lam`` lives on that lattice, and only on the points that sums of subsets
+of the later loadings reach: a few bands of it.  :class:`DriftEvaluator`
+builds its law per path on those points in one pass from the back of the
+tenor, absorbing one rate per iteration, and reduces it against the
+state-free vector ``kappa(lam_i + x h) - kappa(x h)``: O(paths * rates *
+reachable lattice points) per step.  It is the only drift route of the engine.
 :func:`drift_quadrature` integrates the same integrand directly against the
 Levy density; it is far too slow for simulation and serves as the
 independent oracle the evaluator is tested against.
@@ -128,15 +125,12 @@ class DriftEvaluator:
         n = setup.n_rates
         self.n_rates = n
         vols = setup.vols
-        self.step_vols = np.array([[vols.vol_at(t, i) for i in range(1, n + 1)]
-                                   for t in mids])
-        self.step_gauss = np.array([setup.triplet.gauss(t) for t in mids])
+        self.step_vols = np.array([vols.loadings(t) for t in mids])
         self.accruals = np.array([setup.tenor.accrual(i)
                                   for i in range(1, n + 1)])
-        self._jumps = setup.triplet.jumps
-        # Lattice step in quanta; a continuous driver has no jump term.
-        self._quanta = (loading_lattice(vols)[0] if self._jumps is not None
-                        else None)
+        self._nig = setup.nig
+        # Lattice step in quanta.
+        self._quanta = loading_lattice(vols)[0]
         self._kernels: dict[tuple, np.ndarray] = {}
         self._plans: dict[tuple[int, ...], tuple] = {}
 
@@ -152,8 +146,8 @@ class DriftEvaluator:
         if g is None:
             x = np.concatenate([np.arange(lo, hi + 1) for lo, hi in support])
             x = x * self._quanta / LOADING_QUANTA
-            g = (nig_jump_cumulant(lam_i + x, self._jumps)
-                 - nig_jump_cumulant(x, self._jumps))
+            g = (nig_jump_cumulant(lam_i + x, self._nig)
+                 - nig_jump_cumulant(x, self._nig))
             # The memo is race-safe for library callers: concurrent builds
             # of one kernel are bitwise equal and setdefault keeps the first.
             g = self._kernels.setdefault(key, g)
@@ -205,7 +199,7 @@ class DriftEvaluator:
             return self._jump_pass(lam, np.repeat(z, 2, axis=0))[:1]
         out = np.zeros((paths, self.n_rates))
         live = np.flatnonzero(lam)[::-1]
-        if self._jumps is None or live.size == 0:
+        if live.size == 0:
             return out
         units = tuple(round(lam[col] * LOADING_QUANTA) // self._quanta
                       for col in live)
@@ -235,47 +229,31 @@ class DriftEvaluator:
     def jump_terms(self, s: float, z: np.ndarray) -> np.ndarray:
         """Jump terms J(s, T_i; z) for a batch of states, shape (paths, rates).
 
-        Uses the loadings ``vol_at(s, .)`` in force at time ``s``; rates
+        Uses the loadings ``vols.loadings(s)`` in force at time ``s``; rates
         past their fixing get zero.
         """
-        lam = np.array([self.setup.vols.vol_at(s, i)
-                        for i in range(1, self.n_rates + 1)])
-        return self._jump_pass(lam, z)
+        return self._jump_pass(self.setup.vols.loadings(s), z)
 
     def step_drift(self, k: int, z: np.ndarray) -> np.ndarray:
-        """Drift rates b(step k, rate; z) for a batch of states.
+        """Drift rates b(step k, rate; z) = -J for a batch of states.
 
-        ``z`` has shape (paths, rates); dead rates get drift zero.  The jump
-        term comes from the pass at the step's midpoint loadings, the
-        Gaussian terms are closed form.  The state is read as-is (the caller
-        decides whether it holds exact log rates, frozen initial values or
-        stage-one proxies).
+        ``z`` has shape (paths, rates); dead rates get drift +0.0.  The jump
+        term comes from the pass at the step's midpoint loadings.  The state
+        is read as-is (the caller decides whether it holds exact log rates,
+        frozen initial values or stage-one proxies).
         """
-        lam = self.step_vols[k]
-        c = self.step_gauss[k]
-        j_terms = self._jump_pass(lam, z)
-        out = np.zeros_like(j_terms)
-        gauss_sum = 0.0
-        for col in np.flatnonzero(lam)[::-1]:
-            if c > 0.0:
-                out[:, col] = (-0.5 * lam[col] * lam[col] * c
-                               - c * lam[col] * gauss_sum - j_terms[:, col])
-                gauss_sum = gauss_sum + lam[col] * link_weight(
-                    z[:, col], self.accruals[col])
-            else:
-                out[:, col] = -j_terms[:, col]
-        return out
+        # 0.0 - J, not -J: a dead rate's zero jump term stays +0.0.
+        return 0.0 - self._jump_pass(self.step_vols[k], z)
 
     def frozen_table(self) -> np.ndarray:
         """Deterministic drift table b(t_k, T_i; X(0)), shape (steps, rates).
 
-        A step's row depends on the step only through its loadings and
-        Gaussian coefficient, so it is computed once per distinct pair.
+        A step's row depends on the step only through its loadings, so it is
+        computed once per distinct loading vector.
         """
         z0 = self.setup.log_initial_rates[None, :]
-        keys = [(lam.tobytes(), c.tobytes())
-                for lam, c in zip(self.step_vols, self.step_gauss)]
-        rows: dict[tuple[bytes, bytes], np.ndarray] = {}
+        keys = [lam.tobytes() for lam in self.step_vols]
+        rows: dict[bytes, np.ndarray] = {}
         for k, key in enumerate(keys):
             if key not in rows:
                 rows[key] = self.step_drift(k, z0)[0]
@@ -304,13 +282,11 @@ def drift_quadrature(s: float, i: int, log_rates,
     lam_i, weights, lams = _drift_inputs(s, i, log_rates, setup)
     if lam_i == 0.0:
         return 0.0
-    jumps = setup.triplet.jumps
-    if jumps is None:
-        return 0.0
+    p = setup.nig
     weights = np.asarray(weights)
     lams = np.asarray(lams)
 
-    limit_value = (jumps.delta / np.pi) * lam_i * (
+    limit_value = (p.delta / np.pi) * lam_i * (
         0.5 * lam_i + float(np.sum(weights * lams)))
 
     # Beyond this point the exponentials overflow while the density's decay
@@ -327,7 +303,7 @@ def drift_quadrature(s: float, i: int, log_rates,
         for w, lam in zip(weights, lams):
             correction *= 1.0 + w * np.expm1(lam * x)
         g = (base - lam_i * x) + base * (correction - 1.0)
-        return g * nig_levy_density(x, jumps)
+        return g * nig_levy_density(x, p)
 
     cut = 1e-6
     total = 2.0 * cut * limit_value

@@ -1,8 +1,7 @@
-"""Time-inhomogeneous Levy drivers for the forward-rate engine.
+"""The Levy driver of the forward-rate engine.
 
-The driving process H is described by piecewise-constant local
-characteristics (b, c, F): a deterministic drift rate, a Gaussian variance
-rate and a normal inverse Gaussian (NIG) jump measure.  Everything the rest
+The driving process H is a pure-jump normal inverse Gaussian (NIG) Levy
+process with law :class:`NigParams` per unit of time.  Everything the rest
 of the engine needs from H lives here: cumulant functions, exact increment
 sampling, per-block random streams and the exponential-moment checks that
 make the forward-rate construction well defined.
@@ -10,7 +9,6 @@ make the forward-rate construction well defined.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,8 +33,8 @@ class CumulantDomainError(ValueError):
 class NigParams:
     """Normal inverse Gaussian law per unit of time.
 
-    The jump part of the driver accumulates NIG increments: over a step of
-    length ``dt`` it is distributed NIG(alpha, beta, delta * dt, mu * dt).
+    The driver accumulates NIG increments: over a step of length ``dt`` its
+    increment is distributed NIG(alpha, beta, delta * dt, mu * dt).
 
     Parameters
     ----------
@@ -202,92 +200,6 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
         raise ValueError(f"block {block} outside [0, 2^64)")
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-# ---------------------------------------------------------------------------
-# Local characteristics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PiecewiseConstant:
-    """Right-continuous step function of time.
-
-    ``values[k]`` applies on ``[breaks[k-1], breaks[k])`` with the first value
-    holding before ``breaks[0]`` and the last from ``breaks[-1]`` on.
-    """
-
-    values: tuple[float, ...]
-    breaks: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.breaks) + 1:
-            raise ValueError("need exactly one more value than breakpoints")
-        if any(x >= y for x, y in zip(self.breaks, self.breaks[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-
-    @classmethod
-    def constant(cls, value: float) -> "PiecewiseConstant":
-        return cls((float(value),))
-
-    def __call__(self, t: float) -> float:
-        return self.values[bisect.bisect_right(self.breaks, t)]
-
-    @property
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.values)
-
-
-@dataclass(frozen=True)
-class LevyTriplet:
-    """Local characteristics (b, c, F) of the driving process.
-
-    ``drift`` and ``gauss`` are deterministic piecewise-constant rates; the
-    jump measure is an NIG family scaled by time (``None`` for a continuous
-    driver).  Within one constant piece the increment of the driver over
-    ``[t, t + dt)`` is ``b(t)*dt + N(0, c(t)*dt) + NIG(alpha, beta, delta*dt,
-    mu*dt)``.
-    """
-
-    drift: PiecewiseConstant = PiecewiseConstant.constant(0.0)
-    gauss: PiecewiseConstant = PiecewiseConstant.constant(0.0)
-    jumps: NigParams | None = None
-
-    def __post_init__(self) -> None:
-        if any(v < 0.0 for v in self.gauss.values):
-            raise ValueError("Gaussian variance rate must be nonnegative")
-
-    @classmethod
-    def pure_jump(cls, jumps: NigParams) -> "LevyTriplet":
-        """Driftless continuous-part-free driver: only NIG jumps."""
-        return cls(jumps=jumps)
-
-    def cumulant(self, u, t: float):
-        """Cumulant of the driver per unit time at time ``t``."""
-        ua = np.asarray(u, dtype=float)
-        out = self.drift(t) * ua + 0.5 * self.gauss(t) * ua * ua
-        if self.jumps is not None:
-            out = out + nig_cumulant(ua, self.jumps)
-        return float(out) if ua.ndim == 0 else out
-
-    def jump_cumulant(self, u):
-        """Compensated jump integral per unit time (zero without jumps)."""
-        ua = np.asarray(u, dtype=float)
-        if self.jumps is None:
-            out = np.zeros_like(ua)
-        else:
-            out = nig_jump_cumulant(ua, self.jumps)
-        return float(out) if ua.ndim == 0 else out
-
-    def mean_rate(self, t: float) -> float:
-        """Expected driver increment per unit time at time ``t``."""
-        out = self.drift(t)
-        if self.jumps is not None:
-            out += nig_mean_rate(self.jumps)
-        return out
-
-    @property
-    def has_gauss(self) -> bool:
-        return any(v > 0.0 for v in self.gauss.values)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A :class:`MarketSetup` bundles everything the simulator consumes: the tenor
 structure ``T_0 < T_1 < ... < T_(N+1)`` with the terminal date last, the
 initial discount curve, one volatility loading per forward rate and the
-driving process characteristics.  Rates are indexed 1..N throughout the
+NIG law of the driving process.  Rates are indexed 1..N throughout the
 public interface; rate ``i`` fixes at ``T_i`` and accrues over
 ``[T_i, T_(i+1)]``.
 """
@@ -23,8 +23,8 @@ import numpy as np
 from .driver import (
     ExponentialMomentBound,
     ExponentialMomentReport,
-    LevyTriplet,
     NigParams,
+    nig_mean_rate,
     validate_exponential_moments,
 )
 
@@ -130,14 +130,21 @@ class VolatilityStructure:
         return cls(tenor, tuple(tuple([float(v)] * i)
                                 for i, v in enumerate(levels, start=1)))
 
+    def loadings(self, s: float) -> np.ndarray:
+        """Loadings of rates 1..N at time ``s``, shape (N,); a rate's loading
+        is zero before 0 and past its fixing ``T_i``, and at ``T_i`` it is
+        still the level of its last interval."""
+        j = bisect.bisect_right(self.tenor.dates, s) - 1
+        return np.array([lv[min(j, i - 1)] if 0.0 <= s <= self.tenor.date(i)
+                         else 0.0 for i, lv in enumerate(self.levels, 1)],
+                        dtype=float)
+
     def vol_at(self, s: float, i: int) -> float:
-        """Loading of rate ``i`` at time ``s``; zero past the fixing ``T_i``."""
+        """Loading of rate ``i`` at time ``s``: entry ``i`` of
+        :meth:`loadings`."""
         if not 1 <= i <= self.tenor.n_rates:
             raise IndexError(f"rate index {i} outside 1..{self.tenor.n_rates}")
-        if s < 0.0 or s > self.tenor.date(i):
-            return 0.0
-        j = bisect.bisect_right(self.tenor.dates, s) - 1
-        return self.levels[i - 1][min(j, i - 1)]
+        return float(self.loadings(s)[i - 1])
 
     def sup_abs(self, i: int) -> float:
         """Sup over time of the absolute loading of rate ``i``."""
@@ -197,7 +204,7 @@ def _bootstrap(curve: DiscountCurve, tenor: TenorStructure) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MarketSetup:
-    """Immutable bundle of market data and driver characteristics.
+    """Immutable bundle of market data and the driver's NIG law.
 
     Construction only enforces structural consistency (lengths, index
     ranges); economic conditions are the business of :func:`validate_setup`,
@@ -208,7 +215,7 @@ class MarketSetup:
     tenor: TenorStructure
     curve: DiscountCurve
     vols: VolatilityStructure
-    triplet: LevyTriplet
+    nig: NigParams
     em: ExponentialMomentBound
     name: str = ""
     initial_rates: np.ndarray = field(init=False, repr=False, compare=False)
@@ -303,18 +310,8 @@ def validate_setup(setup: MarketSetup) -> SetupValidationReport:
         "initial_rates_positive", rates_ok,
         f"initial forward rates in [{lo:.6g}, {hi:.6g}]"))
 
-    if setup.triplet.jumps is None:
-        # A continuous driver has every exponential moment; only the sum
-        # condition carries information.
-        vol_sum = float(np.sum(np.abs(setup.vols.per_rate_sup)))
-        em = ExponentialMomentReport(
-            vol_sum=vol_sum, bound=setup.em.bound,
-            required=(1.0 + setup.em.slack) * setup.em.bound,
-            domain_halfwidth=float("inf"),
-            sum_ok=vol_sum <= setup.em.bound, domain_ok=True)
-    else:
-        em = validate_exponential_moments(
-            setup.vols.per_rate_sup, setup.em, setup.triplet.jumps)
+    em = validate_exponential_moments(setup.vols.per_rate_sup, setup.em,
+                                      setup.nig)
     items.append(ValidationItem(
         "volatility_sum", em.sum_ok,
         f"summed loadings {em.vol_sum:.6g} vs bound {em.bound:.6g}"))
@@ -333,14 +330,12 @@ def validate_setup(setup: MarketSetup) -> SetupValidationReport:
             f"loadings on a {step / LOADING_QUANTA:g} lattice of {points} "
             f"points (at most {MAX_LATTICE_POINTS})"))
 
-    drift_zero = all(v == 0.0 for v in setup.triplet.drift.values)
-    mean = 0.0 if setup.triplet.jumps is None else abs(
-        setup.triplet.mean_rate(0.0))
-    driftless = drift_zero and mean <= 1e-12
+    mean = nig_mean_rate(setup.nig)
+    driftless = abs(mean) <= 1e-12
     items.append(ValidationItem(
         "driver_driftless", driftless,
         "driver has zero mean rate" if driftless else
-        f"driver mean rate {setup.triplet.mean_rate(0.0):.6g} != 0; the "
+        f"driver mean rate {mean:.6g} != 0; the "
         "terminal-measure construction needs a driftless driver"))
 
     return SetupValidationReport(items=tuple(items), em_report=em)
@@ -420,14 +415,12 @@ def setup_from_dict(raw: dict, name: str = "") -> MarketSetup:
     slack = _number(em_raw.get("epsilon", 0.0), "em.epsilon")
     em = ExponentialMomentBound(bound=bound, slack=slack)
     return MarketSetup(tenor=tenor, curve=curve, vols=vols,
-                       triplet=LevyTriplet.pure_jump(params), em=em,
+                       nig=params, em=em,
                        name=name or str(raw.get("name", "")))
 
 
 def setup_to_dict(setup: MarketSetup) -> dict:
-    p = setup.triplet.jumps
-    if p is None:
-        raise ValueError("only pure-jump NIG setups have a file form")
+    p = setup.nig
     return {
         "name": setup.name,
         "tenor_dates": list(setup.tenor.dates),

@@ -315,21 +315,17 @@ def caplet_price_last_rate(setup: MarketSetup, strike: float) -> float:
     The last rate carries a deterministic drift (no rates after it), so its
     log at the fixing date is ``log L(0,T_N) - kappa(lam)*T_N + lam*H(T_N)``
     with ``H(T_N)`` NIG distributed; the price is a one-dimensional integral
-    evaluated independently of any path machinery.  Requires a pure-jump
-    driftless driver and a loading constant in time.
+    evaluated independently of any path machinery.  Requires a loading
+    constant in time.
     """
     n = setup.n_rates
-    triplet = setup.triplet
-    if triplet.jumps is None or triplet.has_gauss \
-            or any(v != 0.0 for v in triplet.drift.values):
-        raise ValueError("benchmark needs a pure-jump driftless driver")
     levels = set(setup.vols.levels[n - 1])
     if len(levels) != 1:
         raise ValueError("benchmark needs a loading constant in time")
     lam = levels.pop()
     if lam <= 0.0:
         raise ValueError("benchmark needs a positive loading")
-    p = triplet.jumps
+    p = setup.nig
     expiry = setup.tenor.date(n)
     forward = setup.initial_rate(n)
     scale = setup.tenor.accrual(n) * setup.curve.bond(n + 1)
@@ -384,13 +380,21 @@ def price_instruments_mc(setup: MarketSetup,
     driver itself.  Returns per scheme a pair of estimate lists matching
     ``caplets`` and ``swaptions``.  Invalid (overflowed) paths are excluded
     from the estimators and counted.
+
+    Raises
+    ------
+    ValueError
+        If ``n_paths`` is below one or a scheme is listed twice.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
+    schemes = list(schemes)
+    if len(set(schemes)) != len(schemes):
+        raise ValueError("schemes listed more than once: "
+                         + ",".join(s.value for s in schemes))
     check_specs(setup, caplets, swaptions)
     grid = build_grid(setup.tenor, substeps)
     engine = SimulationEngine(setup, grid)
-    schemes = list(schemes)
 
     acc: dict[Scheme, _Accumulator] = {
         s: _Accumulator(np.zeros(len(caplets) + len(swaptions)),

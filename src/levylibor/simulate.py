@@ -121,12 +121,6 @@ class SimulationEngine:
         self.step_vols = self.evaluator.step_vols
         self.z0 = np.asarray(setup.log_initial_rates, dtype=float)
         self.n_rates = setup.n_rates
-        triplet = setup.triplet
-        mids = self.evaluator.mids
-        self._drift_dt = np.array([triplet.drift(t) for t in mids]) * self.dt
-        self._gauss_sd = (np.sqrt(self.evaluator.step_gauss * self.dt)
-                          if triplet.has_gauss else None)
-        self._jumps = triplet.jumps
 
     # -- driver increments -------------------------------------------------
 
@@ -135,11 +129,9 @@ class SimulationEngine:
         """Total driver increments dH for paths ``first_index`` onward.
 
         Every block of ``RNG_BLOCK`` paths the batch touches is drawn whole
-        from :func:`~levylibor.driver.block_rng` ``(seed, block)``, Gaussian
-        part first (one ``(RNG_BLOCK, steps)`` standard normal array), then
-        the jump part by
-        :func:`~levylibor.driver.sample_nig_increment`; the batch's rows are
-        sliced out.
+        by :func:`~levylibor.driver.sample_nig_increment` from
+        :func:`~levylibor.driver.block_rng` ``(seed, block)``; the batch's
+        rows are sliced out.
 
         Raises
         ------
@@ -154,13 +146,9 @@ class SimulationEngine:
         out = np.empty((count, k))
         for block in range(first_index // RNG_BLOCK,
                            (stop + RNG_BLOCK - 1) // RNG_BLOCK):
-            rng = block_rng(seed, block)
-            dh = np.broadcast_to(self._drift_dt, (RNG_BLOCK, k)).copy()
-            if self._gauss_sd is not None:
-                dh += self._gauss_sd * rng.standard_normal((RNG_BLOCK, k))
-            if self._jumps is not None:
-                dh += sample_nig_increment(self.dt, self._jumps, rng,
-                                           size=(RNG_BLOCK, k))
+            dh = sample_nig_increment(self.dt, self.setup.nig,
+                                      block_rng(seed, block),
+                                      size=(RNG_BLOCK, k))
             base = block * RNG_BLOCK
             lo, hi = max(first_index, base), min(stop, base + RNG_BLOCK)
             out[lo - first_index:hi - first_index] = dh[lo - base:hi - base]

@@ -217,6 +217,14 @@ class TestCompare:
         assert code == 2
         assert "full" in err
 
+    def test_repeated_scheme_is_rejected(self, capsys):
+        code, out, err = run_cli(
+            ["compare", "--paths", "100", "--seed", "1",
+             "--schemes", "full,full"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: schemes listed more than once")
+
     def test_scheme_option_is_a_usage_error(self, capsys):
         # compare takes --schemes only; --scheme, even as a prefix of
         # --schemes, must not be taken and ignored
@@ -270,6 +278,16 @@ class TestReproduce:
         assert len(err.splitlines()) == 3
         assert all(line.startswith("implied-vol failures, ")
                    for line in err.splitlines())
+
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-3", "x"])
+    def test_paths_scale_must_be_finite_and_positive(self, scale, tmp_path,
+                                                     capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce-paper", "--paths-scale", scale,
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--paths-scale" in capsys.readouterr().err
 
 
 class TestParser:

@@ -1,7 +1,6 @@
 """Tests for the terminal-measure drift: the evaluator's lattice DP, its
 frozen tables, and the oracles it is checked against."""
 
-import dataclasses
 import itertools
 import math
 import sys
@@ -12,8 +11,6 @@ import pytest
 
 from levylibor import (
     DriftEvaluator,
-    LevyTriplet,
-    PiecewiseConstant,
     bundled_setup,
     build_grid,
     drift_quadrature,
@@ -81,7 +78,7 @@ class TestDriftRoutes:
                                                 evaluator):
         # no rates after the last one: J collapses to the jump cumulant of
         # its own loading, whatever the state
-        p = setup.triplet.jumps
+        p = setup.nig
         lam = setup.vols.vol_at(0.25, 9)
         expected = nig_jump_cumulant(lam, p)
         assert jump_term(evaluator, 0.25, 9, initial_state) == expected
@@ -92,7 +89,7 @@ class TestDriftRoutes:
                                                        initial_state,
                                                        evaluator):
         # no Gaussian part in the bundled driver, so b = -J = -kappa(lam)
-        p = setup.triplet.jumps
+        p = setup.nig
         lam = setup.vols.vol_at(0.25, 9)
         assert evaluator.step_drift(0, initial_state[None, :])[0, 8] == \
             -nig_jump_cumulant(lam, p)
@@ -100,7 +97,7 @@ class TestDriftRoutes:
     def test_last_rate_quadrature_integral_identity(self, setup,
                                                     initial_state):
         # int (e^(lam x) - 1 - lam x) F(dx) recovers the jump cumulant
-        p = setup.triplet.jumps
+        p = setup.nig
         lam = setup.vols.vol_at(0.25, 9)
         assert drift_quadrature(0.25, 9, initial_state, setup) == \
             pytest.approx(nig_jump_cumulant(lam, p), rel=1e-10)
@@ -109,7 +106,7 @@ class TestDriftRoutes:
         # all later rates at -inf: every link weight vanishes and J reduces
         # to the jump cumulant of the rate's own loading, exactly
         dead = np.full(9, -np.inf)
-        p = setup.triplet.jumps
+        p = setup.nig
         lam = setup.vols.vol_at(0.25, 3)
         assert jump_term(evaluator, 0.25, 3, dead) == \
             nig_jump_cumulant(lam, p)
@@ -154,6 +151,12 @@ class TestDriftEvaluator:
             batch = ev.step_drift(k, z)
             assert np.array_equal(batch, -ev.jump_terms(mid, z))
 
+    def test_step_vols_are_the_midpoint_loadings(self, setup):
+        ev = DriftEvaluator(setup, build_grid(setup.tenor, 3))
+        expected = np.array([[setup.vols.vol_at(t, i) for i in range(1, 10)]
+                             for t in ev.mids])
+        assert np.array_equal(ev.step_vols, expected)
+
     def test_frozen_table_rows_are_initial_state_drifts(self, setup):
         grid = build_grid(setup.tenor, 2)
         ev = DriftEvaluator(setup, grid)
@@ -161,21 +164,6 @@ class TestDriftEvaluator:
         z0 = setup.log_initial_rates[None, :]
         for k in range(ev.n_steps):
             assert np.array_equal(table[k], ev.step_drift(k, z0)[0])
-
-    def test_frozen_table_follows_the_gaussian_coefficient(self, setup):
-        # the coefficient changes inside the interval [0.5, 1], where the
-        # loadings do not: rows that share loadings must still differ
-        gauss = PiecewiseConstant(values=(0.01, 0.03, 0.0),
-                                  breaks=(0.75, 2.0))
-        mixed = dataclasses.replace(setup, triplet=LevyTriplet(
-            gauss=gauss, jumps=setup.triplet.jumps))
-        ev = DriftEvaluator(mixed, build_grid(mixed.tenor, 2))
-        table = ev.frozen_table()
-        z0 = mixed.log_initial_rates[None, :]
-        for k in range(ev.n_steps):
-            assert np.array_equal(table[k], ev.step_drift(k, z0)[0])
-        assert np.array_equal(ev.step_vols[2], ev.step_vols[3])
-        assert not np.array_equal(table[2], table[3])
 
     def test_dead_rates_have_zero_drift(self, setup):
         grid = build_grid(setup.tenor, 2)
@@ -189,7 +177,7 @@ class TestDriftEvaluator:
         # same state-free value on every step up to the terminal date
         grid = build_grid(setup.tenor, 2)
         table = DriftEvaluator(setup, grid).frozen_table()
-        p = setup.triplet.jumps
+        p = setup.nig
         expected = -nig_jump_cumulant(setup.vols.vol_at(0.0, 9), p)
         assert np.all(table[:, 8] == expected)
 
@@ -206,7 +194,7 @@ class TestDriftEvaluator:
 def brute_force_jump_term(setup, s, i, state):
     """J of rate ``i`` as E[kappa(lam_i + Lam) - kappa(Lam)], enumerating
     all 2^m outcomes of the Bernoulli variables of the m live later rates."""
-    p = setup.triplet.jumps
+    p = setup.nig
     lam_i = setup.vols.vol_at(s, i)
     if lam_i == 0.0:
         return 0.0
@@ -233,7 +221,7 @@ def hull_jump_pass(ev, lam, z):
         return hull_jump_pass(ev, lam, np.repeat(z, 2, axis=0))[:1]
     out = np.zeros((paths, ev.n_rates))
     live = np.flatnonzero(lam)[::-1]
-    if ev.setup.triplet.jumps is None or live.size == 0:
+    if live.size == 0:
         return out
     step = loading_lattice(ev.setup.vols)[0]
     units = [round(lam[col] * LOADING_QUANTA) // step for col in live]
@@ -248,8 +236,8 @@ def hull_jump_pass(ev, lam, z):
         for r, (col, a) in enumerate(zip(live, units)):
             x = (np.arange(first - origin, last - origin + 1) * step
                  / LOADING_QUANTA)
-            g = (nig_jump_cumulant(lam[col] + x, ev.setup.triplet.jumps)
-                 - nig_jump_cumulant(x, ev.setup.triplet.jumps))
+            g = (nig_jump_cumulant(lam[col] + x, ev.setup.nig)
+                 - nig_jump_cumulant(x, ev.setup.nig))
             out[:, col] = np.einsum("jp,j->p", p[first:last + 1], g) / norm
             if r == len(absorbed):
                 break

@@ -10,9 +10,7 @@ from scipy.stats import ks_2samp
 
 from levylibor import (
     CumulantDomainError,
-    LevyTriplet,
     NigParams,
-    PiecewiseConstant,
     nig_cumulant,
     nig_jump_cumulant,
     nig_levy_density,
@@ -212,41 +210,12 @@ class TestSamplers:
         assert abs(z.mean() - 1.0) < 1e-6
 
 
-class TestPiecewiseConstant:
-    def test_lookup_and_bounds(self):
-        f = PiecewiseConstant(values=(1.0, 2.0, -3.0), breaks=(1.0, 2.0))
-        assert f(0.0) == 1.0
-        assert f(0.99) == 1.0
-        assert f(1.0) == 2.0  # right-continuous at breakpoints
-        assert f(5.0) == -3.0
-        assert f.max_abs == 3.0
-
-    def test_constant_constructor(self):
-        f = PiecewiseConstant.constant(0.7)
-        assert f(0.0) == f(123.4) == 0.7
-
-    def test_bad_breaks_raise(self):
-        with pytest.raises(ValueError):
-            PiecewiseConstant(values=(1.0, 2.0, 3.0), breaks=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            PiecewiseConstant(values=(1.0,), breaks=(0.0, 1.0))
-
-
 class TestTripletIncrements:
-    def _triplet(self):
-        return LevyTriplet.pure_jump(BENCH)
-
-    def test_cumulant_time_dependence(self):
-        t = self._triplet()
-        assert t.cumulant(0.12, 0.0) == nig_cumulant(0.12, BENCH)
-        assert t.jump_cumulant(0.12) == nig_jump_cumulant(0.12, BENCH)
-        assert t.mean_rate(0.3) == 0.0
-
     def test_variance_over_full_horizon(self):
         # summed increments over [0, 4.5] carry variance rate * horizon; the
         # bundled driver is BENCH and its grid has 36 steps up to T_9 = 4.5
         setup = bundled_setup()
-        assert setup.triplet == self._triplet()
+        assert setup.nig == BENCH
         engine = SimulationEngine(setup, build_grid(setup.tenor, 4))
         assert engine.grid.n_steps == 36
         n = 4000

@@ -69,7 +69,7 @@ class TestDiscountCurveAndRates:
             tenor=tenor, curve=DiscountCurve(bonds),
             vols=VolatilityStructure.flat_per_rate(tenor,
                                                    [0.1] * tenor.n_rates),
-            triplet=setup.triplet, em=setup.em)
+            nig=setup.nig, em=setup.em)
         return validate_setup(curved).item("curve_order")
 
     def test_increasing_curve_is_rejected(self, setup):
@@ -103,6 +103,36 @@ class TestVolatilityStructure:
         assert vols.vol_at(4.4, 9) == 0.12
         assert vols.vol_at(4.51, 9) == 0.0
 
+    @staticmethod
+    def _scalar_rule(vols, s, i):
+        # the per-rate reading: zero before 0 and past the fixing T_i,
+        # closed at T_i, else the level of the interval holding s
+        dates = vols.tenor.dates
+        if s < 0.0 or s > dates[i]:
+            return 0.0
+        j = max(k for k in range(len(dates)) if dates[k] <= s)
+        return vols.levels[i - 1][min(j, i - 1)]
+
+    def test_loadings_match_the_per_rate_reading(self, setup):
+        tenor = TenorStructure.regular(3, 0.5)
+        stepped = VolatilityStructure(
+            tenor, ((0.1,), (0.2, 0.3), (0.4, 0.5, 0.6)))
+        for vols in (setup.vols, stepped):
+            dates = vols.tenor.dates
+            mids = [0.5 * (a + b) for a, b in zip(dates, dates[1:])]
+            n = vols.tenor.n_rates
+            for s in [*dates, *mids, -0.25, -1e-12, dates[n] + 1e-9, 99.0]:
+                got = vols.loadings(s)
+                expected = [self._scalar_rule(vols, s, i)
+                            for i in range(1, n + 1)]
+                assert got.shape == (n,)
+                assert got.tolist() == expected
+                assert [vols.vol_at(s, i) for i in range(1, n + 1)] == \
+                    expected
+        assert stepped.loadings(0.5).tolist() == [0.1, 0.3, 0.5]
+        assert stepped.loadings(1.5).tolist() == [0.0, 0.0, 0.6]
+        assert stepped.loadings(-0.1).tolist() == [0.0, 0.0, 0.0]
+
     def test_per_rate_sup(self, setup):
         sups = setup.vols.per_rate_sup
         assert sups[0] == 0.20 and sups[-1] == 0.12
@@ -130,7 +160,7 @@ class TestSetupSerialization:
         again = setup_from_dict(raw, name=setup.name)
         assert np.array_equal(again.initial_rates, setup.initial_rates)
         assert again.tenor == setup.tenor
-        assert again.triplet.jumps == setup.triplet.jumps
+        assert again.nig == setup.nig
         assert again.em == setup.em
 
     def test_load_setup_from_file(self, setup, tmp_path):
@@ -254,7 +284,7 @@ class TestValidation:
         bonds = list(setup.curve.bonds)
         bonds[3] = math.nan
         nan_curve = MarketSetup(tenor=setup.tenor, curve=DiscountCurve(
-            tuple(bonds)), vols=setup.vols, triplet=setup.triplet,
+            tuple(bonds)), vols=setup.vols, nig=setup.nig,
             em=setup.em)
         item = validate_setup(nan_curve).item("curve_order")
         assert not item.passed
@@ -311,7 +341,7 @@ class TestStructuralChecks:
         with pytest.raises(ValueError):
             MarketSetup(tenor=tenor,
                         curve=DiscountCurve(setup.curve.bonds[:-1]),
-                        vols=setup.vols, triplet=setup.triplet, em=setup.em)
+                        vols=setup.vols, nig=setup.nig, em=setup.em)
 
     @pytest.mark.parametrize("i", [0, 10, -1])
     def test_initial_rate_index_is_checked(self, setup, i):

@@ -311,6 +311,17 @@ class TestMonteCarloEstimators:
         assert both[Scheme.FULL_SDE][0][1].price == \
             single[Scheme.FULL_SDE][0][0].price
 
+    def test_repeated_scheme_is_rejected(self, setup):
+        # two entries for one scheme would pool their paths into one
+        # estimator: twice the path count and a sqrt(2) too small error
+        with pytest.raises(ValueError, match="more than once"):
+            price_instruments_mc(setup, [CapletSpec(9, 0.05)], [],
+                                 [Scheme.FULL_SDE, Scheme.FULL_SDE], 100, 1)
+        with pytest.raises(ValueError, match="more than once"):
+            compare_schemes(setup, n_paths=10, seed=1,
+                            schemes=(Scheme.FULL_SDE, Scheme.FROZEN_DRIFT,
+                                     Scheme.FULL_SDE))
+
     def test_single_path_reports_infinite_error(self, setup):
         est = price_caplet_mc(setup, CapletSpec(5, 0.0), Scheme.FULL_SDE,
                               n_paths=1, seed=3, substeps=2)

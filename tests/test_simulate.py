@@ -1,18 +1,15 @@
 """Tests for grids, path generation, and the three recursion schemes."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from levylibor import (
-    LevyTriplet,
-    PiecewiseConstant,
     Scheme,
     SimulationEngine,
     block_rng,
     build_grid,
     bundled_setup,
+    nig_cumulant,
     nig_variance_rate,
     sample_nig_increment,
     setup_from_dict,
@@ -82,7 +79,7 @@ class TestIncrements:
         dt = np.diff(grid.times)
         dh = engine.path_increments(11, 0, 2 * RNG_BLOCK)
         for b in range(2):
-            ref = sample_nig_increment(dt, setup.triplet.jumps,
+            ref = sample_nig_increment(dt, setup.nig,
                                        block_rng(11, b),
                                        size=(RNG_BLOCK, grid.n_steps))
             assert np.array_equal(dh[b * RNG_BLOCK:(b + 1) * RNG_BLOCK], ref)
@@ -94,29 +91,6 @@ class TestIncrements:
         parts = [engine.path_increments(5, start, batch)
                  for start in range(first, first + count, batch)]
         assert np.array_equal(np.vstack(parts), whole)
-
-    @pytest.mark.parametrize("jumps", [True, False],
-                             ids=["gauss-nig", "gauss-only"])
-    def test_gaussian_driver_matches_block_draw(self, setup, grid, jumps):
-        # Gaussian part first, then the jump part, from one block stream
-        b, c = 0.02, 0.01
-        triplet = LevyTriplet(drift=PiecewiseConstant.constant(b),
-                              gauss=PiecewiseConstant.constant(c),
-                              jumps=setup.triplet.jumps if jumps else None)
-        eng = SimulationEngine(dataclasses.replace(setup, triplet=triplet),
-                               grid)
-        dt = np.diff(grid.times)
-        shape = (RNG_BLOCK, grid.n_steps)
-        dh = eng.path_increments(3, RNG_BLOCK - 2, 4)
-        for block, got, rows in ((0, dh[:2], slice(-2, None)),
-                                 (1, dh[2:], slice(0, 2))):
-            rng = block_rng(3, block)
-            ref = np.broadcast_to(b * dt, shape).copy()
-            ref += np.sqrt(c * dt) * rng.standard_normal(shape)
-            if jumps:
-                ref += sample_nig_increment(dt, triplet.jumps, rng,
-                                            size=shape)
-            assert np.array_equal(got, ref[rows])
 
     @pytest.mark.parametrize("first, count", [(-1, 1), ((1 << 64) - 2, 3)])
     def test_path_indices_outside_64_bits_raise(self, engine, first, count):
@@ -133,13 +107,13 @@ class TestIncrements:
         # driftless driver: mean 0, var delta/alpha * dt per step; the
         # grand mean's standard error is sqrt(rate * sum(dt)) / (n * steps)
         dt = np.diff(grid.times)
-        rate = nig_variance_rate(setup.triplet.jumps)
+        rate = nig_variance_rate(setup.nig)
         se = np.sqrt(rate * dt.sum() / n) / len(dt)
         assert abs(dh.mean()) < 4.0 * se
         # per-step sample variance within 4 standard errors,
         # sqrt((kappa4 + 2 var^2) / n), with the NIG fourth cumulant
         # kappa4 = 3 delta alpha^2 (alpha^2 + 4 beta^2) / gamma^7 * dt
-        p = setup.triplet.jumps
+        p = setup.nig
         var = rate * dt
         kappa4 = (3.0 * p.delta * p.alpha**2 * (p.alpha**2 + 4.0 * p.beta**2)
                   / p.gamma**7 * dt)
@@ -271,7 +245,7 @@ class TestSchemes:
                  - (table * dt).sum())
         y = np.exp(resid)
         lam = setup.vols.vol_at(0.0, i)
-        target = np.exp(setup.triplet.cumulant(lam, 0.0)
+        target = np.exp(nig_cumulant(lam, setup.nig)
                         * setup.tenor.date(i))
         assert abs(y.mean() - target) <= 3.0 * y.std(ddof=1) / np.sqrt(n)
 
