@@ -108,8 +108,7 @@ class SimulationEngine:
     """Shared machinery for one (setup, grid) pair.
 
     Holds the precomputed drift evaluator, the deterministic drift table and
-    the per-step sampling constants, so pricing runs pay the setup cost
-    once.
+    the step lengths, so pricing runs pay the setup cost once.
     """
 
     def __init__(self, setup: MarketSetup, grid: SimulationGrid) -> None:
