@@ -279,7 +279,6 @@ class TestReproduce:
         assert all(line.startswith("implied-vol failures, ")
                    for line in err.splitlines())
 
-
     @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-3", "x"])
     def test_paths_scale_must_be_finite_and_positive(self, scale, tmp_path,
                                                      capsys):

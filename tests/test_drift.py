@@ -88,7 +88,7 @@ class TestDriftRoutes:
     def test_last_rate_drift_is_negative_jump_cumulant(self, setup,
                                                        initial_state,
                                                        evaluator):
-        # no Gaussian part in the bundled driver, so b = -J = -kappa(lam)
+        # b = -J, and J of the last rate is kappa(lam)
         p = setup.nig
         lam = setup.vols.vol_at(0.25, 9)
         assert evaluator.step_drift(0, initial_state[None, :])[0, 8] == \
@@ -141,7 +141,7 @@ class TestDriftRoutes:
 class TestDriftEvaluator:
     def test_step_drift_matches_pointwise_route(self, setup):
         # the per-step drift is the jump pass at the step's midpoint
-        # loadings (no Gaussian part here), on random states
+        # loadings, on random states
         grid = build_grid(setup.tenor, 2)
         ev = DriftEvaluator(setup, grid)
         rng = np.random.default_rng(3)

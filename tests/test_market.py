@@ -131,7 +131,6 @@ class TestVolatilityStructure:
                     expected
         assert stepped.loadings(0.5).tolist() == [0.1, 0.3, 0.5]
         assert stepped.loadings(1.5).tolist() == [0.0, 0.0, 0.6]
-        assert stepped.loadings(-0.1).tolist() == [0.0, 0.0, 0.0]
 
     def test_per_rate_sup(self, setup):
         sups = setup.vols.per_rate_sup
