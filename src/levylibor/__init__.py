@@ -51,7 +51,6 @@ from .pricing import (
     CapletSpec,
     ComparisonCell,
     ComparisonTable,
-    CouponConvention,
     ImpliedVolError,
     McEstimate,
     SwaptionSpec,
@@ -64,7 +63,6 @@ from .pricing import (
     check_specs,
     compare_schemes,
     forward_swap_rate,
-    price_caplet_mc,
     price_instruments_mc,
     swaption_payoffs,
     write_iv_surface,

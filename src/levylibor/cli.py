@@ -32,7 +32,6 @@ from .pricing import (
     DEFAULT_MONEYNESS,
     DEFAULT_SWAPTION_PAIRS,
     CapletSpec,
-    CouponConvention,
     SwaptionSpec,
     compare_schemes,
     forward_swap_rate,
@@ -106,6 +105,12 @@ def _load(args: argparse.Namespace) -> MarketSetup:
     return load_setup(args.setup)
 
 
+def _load_valid(args: argparse.Namespace) -> MarketSetup:
+    setup = _load(args)
+    validate_setup(setup).raise_on_failure()
+    return setup
+
+
 @contextlib.contextmanager
 def _open_out(path: str | None):
     if path is None:
@@ -148,7 +153,7 @@ def _caplet_strikes(setup: MarketSetup, args: argparse.Namespace):
 
 
 def _cmd_price_caplets(args: argparse.Namespace) -> int:
-    setup = _load(args)
+    setup = _load_valid(args)
     scheme = Scheme.parse(args.scheme)
     specs = [CapletSpec(i, strike) for i, strike in _caplet_strikes(setup, args)]
     results = price_instruments_mc(
@@ -162,22 +167,21 @@ def _cmd_price_caplets(args: argparse.Namespace) -> int:
 
 
 def _swaption_specs(setup: MarketSetup, args: argparse.Namespace):
-    convention = CouponConvention(args.convention)
     if (args.expiry is None) != (args.end is None):
         raise ValueError("--expiry and --end must be given together")
     pairs = ([(args.expiry, args.end)] if args.expiry is not None
              else list(DEFAULT_SWAPTION_PAIRS))
     for i, end in pairs:
         if args.strike is not None:
-            yield SwaptionSpec(i, end, args.strike, convention)
+            yield SwaptionSpec(i, end, args.strike)
         else:
-            par = forward_swap_rate(setup, i, end, convention)
+            par = forward_swap_rate(setup, i, end)
             for m in args.moneyness:
-                yield SwaptionSpec(i, end, m * par, convention)
+                yield SwaptionSpec(i, end, m * par)
 
 
 def _cmd_price_swaptions(args: argparse.Namespace) -> int:
-    setup = _load(args)
+    setup = _load_valid(args)
     scheme = Scheme.parse(args.scheme)
     specs = list(_swaption_specs(setup, args))
     results = price_instruments_mc(
@@ -204,7 +208,7 @@ def _write_surfaces(table, prefix: str) -> list:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    setup = _load(args)
+    setup = _load_valid(args)
     schemes = tuple(Scheme.parse(tok) for tok in args.schemes.split(","))
     table = compare_schemes(
         setup, args.paths, args.seed, substeps=args.substeps,
@@ -285,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--moneyness", type=_parse_moneyness,
                    default=DEFAULT_MONEYNESS, metavar="LIST",
                    help="comma-separated strike/par-rate ratios")
-    p.add_argument("--convention", default="accrual",
-                   choices=[c.value for c in CouponConvention],
-                   help="fixed-leg coupon convention (default: accrual)")
     p.set_defaults(func=_cmd_price_swaptions)
 
     # No abbreviations: --scheme would be read as a prefix of --schemes.

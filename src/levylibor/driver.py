@@ -236,19 +236,6 @@ class ExponentialMomentReport:
     sum_ok: bool
     domain_ok: bool
 
-    @property
-    def passed(self) -> bool:
-        return self.sum_ok and self.domain_ok
-
-    def lines(self) -> list[str]:
-        s = "ok" if self.sum_ok else "FAIL"
-        d = "ok" if self.domain_ok else "FAIL"
-        return [
-            f"[{s}] summed volatility loadings {self.vol_sum:.6g} <= bound {self.bound:.6g}",
-            f"[{d}] required moment range {self.required:.6g} <= domain halfwidth "
-            f"{self.domain_halfwidth:.6g}",
-        ]
-
 
 def validate_exponential_moments(vol_sups: Sequence[float],
                                  cfg: ExponentialMomentBound,

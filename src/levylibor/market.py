@@ -16,13 +16,11 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Sequence
 
 import numpy as np
 
 from .driver import (
     ExponentialMomentBound,
-    ExponentialMomentReport,
     NigParams,
     nig_mean_rate,
     validate_exponential_moments,
@@ -53,21 +51,9 @@ class TenorStructure:
         if any(x >= y for x, y in zip(self.dates, self.dates[1:])):
             raise ValueError("tenor dates must be strictly increasing")
 
-    @classmethod
-    def regular(cls, n_rates: int, spacing: float = 0.5,
-                start: float = 0.0) -> "TenorStructure":
-        """Evenly spaced structure with ``n_rates`` forward rates."""
-        dates = tuple(start + spacing * k for k in range(n_rates + 2))
-        return cls(dates)
-
     @property
     def n_rates(self) -> int:
         return len(self.dates) - 2
-
-    @property
-    def terminal(self) -> float:
-        """The terminal date ``T_(N+1)``, numeraire maturity."""
-        return self.dates[-1]
 
     def date(self, k: int) -> float:
         """``T_k`` for ``k`` in 0..N+1."""
@@ -120,15 +106,6 @@ class VolatilityStructure:
                     f"rate {i} needs {i} interval levels (one per accrual "
                     f"interval before its fixing), got {len(lv)}"
                 )
-
-    @classmethod
-    def flat_per_rate(cls, tenor: TenorStructure,
-                      levels: Sequence[float]) -> "VolatilityStructure":
-        """Loadings constant in time, one number per rate."""
-        if len(levels) != tenor.n_rates:
-            raise ValueError("need one level per rate")
-        return cls(tenor, tuple(tuple([float(v)] * i)
-                                for i, v in enumerate(levels, start=1)))
 
     def loadings(self, s: float) -> np.ndarray:
         """Loadings of rates 1..N at time ``s``, shape (N,); a rate's loading
@@ -257,11 +234,17 @@ class SetupValidationReport:
     """Per-condition outcome of market validation; machine readable."""
 
     items: tuple[ValidationItem, ...]
-    em_report: ExponentialMomentReport
 
     @property
     def passed(self) -> bool:
         return all(item.passed for item in self.items)
+
+    def raise_on_failure(self) -> None:
+        """Raise ValueError with the failed items' details joined by
+        ``"; "``; return when every item passed."""
+        failed = [item.detail for item in self.items if not item.passed]
+        if failed:
+            raise ValueError("; ".join(failed))
 
     def item(self, name: str) -> ValidationItem:
         for it in self.items:
@@ -338,7 +321,7 @@ def validate_setup(setup: MarketSetup) -> SetupValidationReport:
         f"driver mean rate {mean:.6g} != 0; the "
         "terminal-measure construction needs a driftless driver"))
 
-    return SetupValidationReport(items=tuple(items), em_report=em)
+    return SetupValidationReport(items=tuple(items))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -32,15 +31,6 @@ DEFAULT_SWAPTION_PAIRS = ((2, 4), (2, 5), (2, 6), (2, 7),
 # Black-76 inversion: the vol bracket and the bracket width that ends a
 # bisection.
 IV_LO, IV_HI, IV_TOL = 1e-4, 5.0, 1e-10
-
-
-class CouponConvention(Enum):
-    """Fixed-leg coupon at date ``T_k``: accrual-weighted ``delta_(k-1)*K``
-    (market style, a one-period swaption then matches a caplet) or plain
-    ``K`` per date."""
-
-    ACCRUAL = "accrual"
-    UNIT = "unit"
 
 
 @dataclass(frozen=True)
@@ -61,12 +51,14 @@ class CapletSpec:
 
 @dataclass(frozen=True)
 class SwaptionSpec:
-    """Payer swaption: option expiry T_i, swap dates T_(i+1) .. T_m."""
+    """Payer swaption: option expiry T_i, swap dates T_(i+1) .. T_m.
+
+    The fixed leg pays the accrual-weighted coupon ``delta_(k-1)*K`` at each
+    ``T_k``, so a one-period swaption is its caplet."""
 
     expiry_index: int
     end_index: int
     strike: float
-    convention: CouponConvention = CouponConvention.ACCRUAL
 
     def __post_init__(self) -> None:
         if self.expiry_index < 1:
@@ -150,9 +142,7 @@ def swaption_payoffs(products: np.ndarray, spec: SwaptionSpec,
     row = products[:, i - 1, :]
     fixed_leg = np.zeros(row.shape[0])
     for k in range(i + 1, m + 1):
-        weight = setup.tenor.accrual(k - 1) \
-            if spec.convention is CouponConvention.ACCRUAL else 1.0
-        fixed_leg += weight * row[:, k]
+        fixed_leg += setup.tenor.accrual(k - 1) * row[:, k]
     value = row[:, i] - row[:, m] - spec.strike * fixed_leg
     return setup.curve.bond(setup.n_rates + 1) * np.maximum(value, 0.0)
 
@@ -166,17 +156,14 @@ def zero_strike_caplet_value(setup: MarketSetup, i: int) -> float:
     return setup.curve.bond(i) - setup.curve.bond(i + 1)
 
 
-def forward_swap_rate(setup: MarketSetup, expiry_index: int, end_index: int,
-                      convention: CouponConvention = CouponConvention.ACCRUAL
-                      ) -> float:
+def forward_swap_rate(setup: MarketSetup, expiry_index: int,
+                      end_index: int) -> float:
     """Par rate of the forward swap over [T_i, T_m] implied by the curve."""
     _check_swap_dates(setup, expiry_index, end_index)
     i, m = expiry_index, end_index
     annuity = 0.0
     for k in range(i + 1, m + 1):
-        weight = setup.tenor.accrual(k - 1) \
-            if convention is CouponConvention.ACCRUAL else 1.0
-        annuity += weight * setup.curve.bond(k)
+        annuity += setup.tenor.accrual(k - 1) * setup.curve.bond(k)
     return (setup.curve.bond(i) - setup.curve.bond(m)) / annuity
 
 
@@ -450,13 +437,6 @@ def price_instruments_mc(setup: MarketSetup,
     return out
 
 
-def price_caplet_mc(setup: MarketSetup, spec: CapletSpec, scheme: Scheme,
-                    n_paths: int, seed: int, substeps: int = 4) -> McEstimate:
-    res = price_instruments_mc(setup, [spec], [], [scheme], n_paths, seed,
-                               substeps)
-    return res[scheme][0][0]
-
-
 # ---------------------------------------------------------------------------
 # Scheme comparison
 # ---------------------------------------------------------------------------
@@ -496,9 +476,6 @@ class ComparisonTable:
 
     cells: list[ComparisonCell]
     schemes: list[Scheme]
-    n_paths: int
-    seed: int
-    substeps: int
 
     def caplet_cells(self) -> list[ComparisonCell]:
         return [c for c in self.cells if c.is_caplet]
@@ -625,5 +602,4 @@ def compare_schemes(setup: MarketSetup, n_paths: int, seed: int,
         else:
             cell.implied_vols[scheme] = float(vols[j])
 
-    return ComparisonTable(cells=cells, schemes=list(schemes),
-                           n_paths=n_paths, seed=seed, substeps=substeps)
+    return ComparisonTable(cells=cells, schemes=list(schemes))

@@ -68,15 +68,10 @@ class SimulationGrid:
 
     times: np.ndarray
     tenor_indices: np.ndarray
-    substeps: int
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
-
-    def fixing_index(self, i: int) -> int:
-        """Grid index of the fixing date ``T_i``."""
-        return int(self.tenor_indices[i])
 
 
 def build_grid(tenor: TenorStructure, substeps: int) -> SimulationGrid:
@@ -100,8 +95,7 @@ def build_grid(tenor: TenorStructure, substeps: int) -> SimulationGrid:
     grid_times.setflags(write=False)
     tenor_indices = np.arange(0, n * substeps + 1, substeps)
     tenor_indices.setflags(write=False)
-    return SimulationGrid(times=grid_times, tenor_indices=tenor_indices,
-                          substeps=substeps)
+    return SimulationGrid(times=grid_times, tenor_indices=tenor_indices)
 
 
 class SimulationEngine:

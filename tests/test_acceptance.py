@@ -1,21 +1,29 @@
 """Acceptance gate: every criterion at its stated tolerance and path count.
 
-Criteria 5-7 share one million-path common-random-numbers comparison, built
-once per test session at module scope (about eighty seconds on one core).
-Each test prints the criterion verdict with its measurements and asserts
-the overall pass flag.
+Criteria 1 and 2 share one 100,000-path full-scheme sample, and criteria
+5-7 one million-path common-random-numbers comparison; each is built once
+per test session at module scope.  Each test prints the criterion verdict
+with its measurements and asserts the overall pass flag.
 """
 
 import time
 
 import pytest
 
-from levylibor import acceptance, bundled_setup
+from levylibor import (CapletSpec, Scheme, acceptance, bundled_setup,
+                       price_instruments_mc)
 
 
 @pytest.fixture(scope="module")
 def setup():
     return bundled_setup()
+
+
+@pytest.fixture(scope="module")
+def last_rate_sample(setup):
+    start = time.perf_counter()
+    sample = acceptance.build_last_rate_sample(setup)
+    return sample, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +39,28 @@ def report(result):
     assert result.passed, result.summary_line()
 
 
-def test_criterion_1_terminal_rate_martingale_mean(setup):
-    report(acceptance.criterion_martingale_mean(setup))
+def test_last_rate_sample_matches_separate_pricing(setup):
+    # one run pricing both caplets gives each bit for bit what a run
+    # pricing it alone gives
+    zero_strike, atm = acceptance.build_last_rate_sample(
+        setup, acceptance.DEFAULT_SEED, 1000)
+    alone = [
+        price_instruments_mc(setup, [CapletSpec(9, strike)], [],
+                             [Scheme.FULL_SDE], 1000, acceptance.DEFAULT_SEED,
+                             acceptance.DEFAULT_SUBSTEPS)[Scheme.FULL_SDE][0][0]
+        for strike in (0.0, setup.initial_rate(9))]
+    assert [zero_strike, atm] == alone
+    assert zero_strike.n_paths + zero_strike.n_invalid == 1000
 
 
-def test_criterion_2_last_rate_caplet_vs_quadrature(setup):
-    report(acceptance.criterion_last_rate_caplet_oracle(setup))
+def test_criterion_1_terminal_rate_martingale_mean(setup, last_rate_sample):
+    sample, build_seconds = last_rate_sample
+    report(acceptance.criterion_martingale_mean(setup, sample, build_seconds))
+
+
+def test_criterion_2_last_rate_caplet_vs_quadrature(setup, last_rate_sample):
+    sample, _ = last_rate_sample
+    report(acceptance.criterion_last_rate_caplet_oracle(setup, sample))
 
 
 def test_criterion_3_scheme_coincidence_bitwise(setup):

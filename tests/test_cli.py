@@ -87,6 +87,43 @@ class TestLoadingLattice:
         assert err.startswith("error: loading 0.1234567 of rate 5")
 
 
+def _rejected_setup(tmp_path, name):
+    # a setup that validate rejects; each is priced quietly wrong at the
+    # engine: a drifting driver, a rising curve, a loading sum over M
+    raw = setup_to_dict(bundled_setup())
+    if name == "drifting_driver":
+        raw["nig"]["mu"] = 0.02
+        detail = "driver mean rate 0.02 != 0"
+    elif name == "rising_curve":
+        raw["bond_prices"][2] = raw["bond_prices"][1] * 1.01
+        detail = "B(0, T_2) = "
+    else:
+        raw["em"]["M"] = 0.5
+        detail = "vs bound 0.5"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    return str(path), detail
+
+
+class TestRejectedSetup:
+    @pytest.mark.parametrize("name", ["drifting_driver", "rising_curve",
+                                      "small_moment_bound"])
+    @pytest.mark.parametrize("command", [
+        ["price-caplets", "--rate", "5", "--moneyness", "1.0"],
+        ["price-swaptions", "--expiry", "2", "--end", "4"],
+        ["compare"],
+    ], ids=["price-caplets", "price-swaptions", "compare"])
+    def test_pricing_commands_refuse_it(self, command, name, tmp_path,
+                                        capsys):
+        path, detail = _rejected_setup(tmp_path, name)
+        code, out, err = run_cli(
+            [*command, "--setup", path, "--paths", "2000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert detail in err
+
+
 class TestSeed:
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     @pytest.mark.parametrize("command", ["price-caplets", "reproduce-paper"])
@@ -176,6 +213,13 @@ class TestPriceSwaptions:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_convention_option_is_a_usage_error(self, capsys):
+        # the fixed leg always pays accrual-weighted coupons
+        with pytest.raises(SystemExit) as exc:
+            main(["price-swaptions", "--convention", "unit", "--paths", "10"])
+        assert exc.value.code == 2
+        assert "--convention" in capsys.readouterr().err
 
     def test_default_grid_runs_all_pairs(self, capsys):
         code, out, _ = run_cli(

@@ -25,6 +25,8 @@ from levylibor import (
     validate_setup,
 )
 
+from helpers import flat_per_rate, regular_tenor
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -33,11 +35,10 @@ def setup():
 
 class TestTenorStructure:
     def test_regular_grid(self):
-        tenor = TenorStructure.regular(9, 0.5)
+        tenor = regular_tenor(9, 0.5)
         assert tenor.n_rates == 9
         assert tenor.date(0) == 0.0
-        assert tenor.date(10) == 5.0
-        assert tenor.terminal == 5.0
+        assert tenor.date(tenor.n_rates + 1) == 5.0
         assert tenor.accrual(9) == 0.5
 
     def test_nonincreasing_dates_raise(self):
@@ -64,11 +65,10 @@ class TestDiscountCurveAndRates:
 
     @staticmethod
     def _curve_order(setup, bonds):
-        tenor = TenorStructure.regular(len(bonds) - 1, 0.5)
+        tenor = regular_tenor(len(bonds) - 1, 0.5)
         curved = MarketSetup(
             tenor=tenor, curve=DiscountCurve(bonds),
-            vols=VolatilityStructure.flat_per_rate(tenor,
-                                                   [0.1] * tenor.n_rates),
+            vols=flat_per_rate(tenor, [0.1] * tenor.n_rates),
             nig=setup.nig, em=setup.em)
         return validate_setup(curved).item("curve_order")
 
@@ -114,7 +114,7 @@ class TestVolatilityStructure:
         return vols.levels[i - 1][min(j, i - 1)]
 
     def test_loadings_match_the_per_rate_reading(self, setup):
-        tenor = TenorStructure.regular(3, 0.5)
+        tenor = regular_tenor(3, 0.5)
         stepped = VolatilityStructure(
             tenor, ((0.1,), (0.2, 0.3), (0.4, 0.5, 0.6)))
         for vols in (setup.vols, stepped):
@@ -144,9 +144,9 @@ class TestVolatilityStructure:
             setup.vols.vol_at(0.1, 10)
 
     def test_flat_per_rate_length_check(self):
-        tenor = TenorStructure.regular(3, 0.5)
-        with pytest.raises(ValueError):
-            VolatilityStructure.flat_per_rate(tenor, [0.2, 0.1])
+        tenor = regular_tenor(3, 0.5)
+        with pytest.raises(ValueError, match="need one loading per rate"):
+            flat_per_rate(tenor, [0.2, 0.1])
 
 
 class TestSetupSerialization:
@@ -272,6 +272,18 @@ class TestValidation:
     def _raw(self, setup):
         return setup_to_dict(setup)
 
+    def test_raise_on_failure_names_the_failed_details(self, setup):
+        validate_setup(setup).raise_on_failure()
+        raw = self._raw(setup)
+        raw["nig"]["mu"] = 0.02
+        raw["em"]["M"] = 0.5
+        report = validate_setup(setup_from_dict(raw))
+        failed = [item.detail for item in report.items if not item.passed]
+        assert len(failed) == 2
+        with pytest.raises(ValueError) as err:
+            report.raise_on_failure()
+        assert str(err.value) == "; ".join(failed)
+
     def test_bad_curve_reported_not_raised(self, setup):
         raw = self._raw(setup)
         raw["bond_prices"][3] = raw["bond_prices"][2] * 1.01
@@ -323,8 +335,8 @@ class TestValidation:
         ([0.0, 0.0], (1, 1)),
     ])
     def test_lattice_step_is_the_common_step(self, levels, expected):
-        tenor = TenorStructure.regular(len(levels))
-        vols = VolatilityStructure.flat_per_rate(tenor, levels)
+        tenor = regular_tenor(len(levels))
+        vols = flat_per_rate(tenor, levels)
         assert loading_lattice(vols) == expected
 
     def test_drifting_driver_flagged(self, setup):
@@ -336,7 +348,7 @@ class TestValidation:
 
 class TestStructuralChecks:
     def test_mismatched_bond_count_raises(self, setup):
-        tenor = TenorStructure.regular(9, 0.5)
+        tenor = regular_tenor(9, 0.5)
         with pytest.raises(ValueError):
             MarketSetup(tenor=tenor,
                         curve=DiscountCurve(setup.curve.bonds[:-1]),

@@ -13,7 +13,6 @@ from scipy.stats import norm
 import levylibor.pricing as pricing
 from levylibor import (
     CapletSpec,
-    CouponConvention,
     ImpliedVolError,
     Scheme,
     SwaptionSpec,
@@ -25,7 +24,6 @@ from levylibor import (
     chain_products,
     compare_schemes,
     forward_swap_rate,
-    price_caplet_mc,
     price_instruments_mc,
     setup_from_dict,
     setup_to_dict,
@@ -121,7 +119,7 @@ class TestSpecs:
             SwaptionSpec(0, 2, 0.05)
         with pytest.raises(ValueError):
             SwaptionSpec(2, 4, math.nan)
-        SwaptionSpec(2, 4, 0.05, CouponConvention.UNIT)
+        SwaptionSpec(2, 4, 0.05)
 
 
 class TestBlack76:
@@ -263,31 +261,32 @@ class TestForwardSwapRate:
             assert forward_swap_rate(setup, i, i + 1) == \
                 pytest.approx(setup.initial_rate(i), rel=1e-12)
 
-    def test_unit_convention_scales_annuity(self, setup):
-        accrual = forward_swap_rate(setup, 2, 6, CouponConvention.ACCRUAL)
-        unit = forward_swap_rate(setup, 2, 6, CouponConvention.UNIT)
-        # flat half-year accruals: unit annuity is twice the accrual one
-        assert unit == pytest.approx(0.5 * accrual, rel=1e-12)
-
     def test_zero_strike_values(self, setup):
         assert zero_strike_caplet_value(setup, 9) == \
             setup.curve.bond(9) - setup.curve.bond(10)
 
 
+def _price_caplet(setup, spec, scheme, n_paths, seed, substeps=4):
+    # one caplet under one scheme
+    res = price_instruments_mc(setup, [spec], [], [scheme], n_paths, seed,
+                               substeps)
+    return res[scheme][0][0]
+
+
 class TestMonteCarloEstimators:
     def test_zero_strike_caplet_matches_forward(self, setup):
-        est = price_caplet_mc(setup, CapletSpec(5, 0.0), Scheme.FULL_SDE,
-                              n_paths=20_000, seed=7)
+        est = _price_caplet(setup, CapletSpec(5, 0.0), Scheme.FULL_SDE,
+                            n_paths=20_000, seed=7)
         target = zero_strike_caplet_value(setup, 5)
         assert abs(est.price - target) <= 3.0 * est.std_error
         assert est.n_invalid == 0
         assert est.n_paths == 20_000
 
     def test_estimates_are_deterministic(self, setup):
-        a = price_caplet_mc(setup, CapletSpec(3, 0.045), Scheme.FROZEN_DRIFT,
-                            n_paths=2000, seed=11)
-        b = price_caplet_mc(setup, CapletSpec(3, 0.045), Scheme.FROZEN_DRIFT,
-                            n_paths=2000, seed=11)
+        a = _price_caplet(setup, CapletSpec(3, 0.045), Scheme.FROZEN_DRIFT,
+                          n_paths=2000, seed=11)
+        b = _price_caplet(setup, CapletSpec(3, 0.045), Scheme.FROZEN_DRIFT,
+                          n_paths=2000, seed=11)
         assert (a.price, a.std_error) == (b.price, b.std_error)
 
     def test_single_period_swaption_equals_caplet(self, setup):
@@ -323,8 +322,8 @@ class TestMonteCarloEstimators:
                                      Scheme.FULL_SDE))
 
     def test_single_path_reports_infinite_error(self, setup):
-        est = price_caplet_mc(setup, CapletSpec(5, 0.0), Scheme.FULL_SDE,
-                              n_paths=1, seed=3, substeps=2)
+        est = _price_caplet(setup, CapletSpec(5, 0.0), Scheme.FULL_SDE,
+                            n_paths=1, seed=3, substeps=2)
         assert math.isfinite(est.price)
         assert est.std_error == math.inf
         assert est.n_paths == 1
@@ -335,8 +334,8 @@ class TestMonteCarloEstimators:
         raw = setup_to_dict(setup)
         raw["vols"] = [0.0] * 9
         quiet = setup_from_dict(raw)
-        est = price_caplet_mc(quiet, CapletSpec(8, 0.0), Scheme.FULL_SDE,
-                              n_paths=64, seed=3, substeps=2)
+        est = _price_caplet(quiet, CapletSpec(8, 0.0), Scheme.FULL_SDE,
+                            n_paths=64, seed=3, substeps=2)
         assert est.price == pytest.approx(zero_strike_caplet_value(quiet, 8),
                                           rel=1e-12)
         # identical payoffs: anything left is one-pass accumulator rounding

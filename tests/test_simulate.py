@@ -17,6 +17,8 @@ from levylibor import (
 )
 from levylibor.simulate import RNG_BLOCK
 
+from helpers import regular_tenor
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -37,7 +39,7 @@ class TestGrid:
     def test_tenor_dates_land_exactly(self, setup, grid):
         assert grid.n_steps == 9 * 4
         for i in range(0, 10):
-            k = grid.fixing_index(i)
+            k = grid.tenor_indices[i]
             assert grid.times[k] == setup.tenor.date(i)
 
     def test_single_substep(self, setup):
@@ -46,11 +48,10 @@ class TestGrid:
         assert np.array_equal(g.times, np.linspace(0.0, 4.5, 10))
 
     def test_bad_arguments(self, setup):
-        from levylibor import TenorStructure
         with pytest.raises(ValueError):
             build_grid(setup.tenor, 0)
         with pytest.raises(ValueError):
-            build_grid(TenorStructure.regular(3, 0.5, start=1.0), 2)
+            build_grid(regular_tenor(3, 0.5, start=1.0), 2)
 
     def test_schemes_parse(self):
         assert Scheme.parse("full") is Scheme.FULL_SDE
@@ -191,7 +192,7 @@ class TestSchemes:
         for scheme in Scheme:
             paths = whole_paths(engine, scheme, dh)
             for i in (1, 5, 9):
-                k = grid.fixing_index(i)
+                k = grid.tenor_indices[i]
                 tail = paths[:, i - 1, k:]
                 assert np.all(tail == tail[:, :1])
 
@@ -206,7 +207,7 @@ class TestSchemes:
         fix = engine.fixings(log_fix)
         assert fix.shape == (4, 9, 9)
         assert np.all(np.isnan(fix[:, 3, :3]))
-        k = grid.fixing_index(4)
+        k = grid.tenor_indices[4]
         assert np.array_equal(fix[:, 3, 3:], np.exp(paths[:, 3:, k]))
         assert np.all(engine.valid_mask(log_fix, fix))
 
@@ -236,7 +237,7 @@ class TestSchemes:
         # leaves lambda-weighted driver increments, whose exponential mean
         # is the integrated cumulant; checked within three standard errors
         i, n = 5, 20_000
-        fx = grid.fixing_index(i)
+        fx = grid.tenor_indices[i]
         dt = np.diff(grid.times)[:fx]
         table = engine.evaluator.frozen_table()[:fx, i - 1]
         dh = engine.path_increments(77, 0, n)
@@ -348,7 +349,7 @@ class TestOverflowHandling:
             mask = engine.valid_mask(log_fix, fix)
             oracle = np.isfinite(paths).all(axis=(1, 2))
             for i in range(1, 10):
-                k = grid.fixing_index(i)
+                k = grid.tenor_indices[i]
                 oracle &= np.isfinite(np.exp(paths[:, i - 1:, k])).all(axis=1)
         assert np.array_equal(mask, oracle)
         assert list(mask[:5]) == [True, False, False, False, False]
