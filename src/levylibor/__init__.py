@@ -10,7 +10,6 @@ and implied volatilities can be compared at common random numbers.
 from .driver import (
     CumulantDomainError,
     ExponentialMomentBound,
-    ExponentialMomentReport,
     NigParams,
     block_rng,
     nig_cumulant,
@@ -20,7 +19,6 @@ from .driver import (
     nig_variance_rate,
     sample_inverse_gaussian,
     sample_nig_increment,
-    validate_exponential_moments,
 )
 from .market import (
     BUNDLED_SETUP,
@@ -57,14 +55,11 @@ from .pricing import (
     black76_implied_vol,
     black76_implied_vols,
     black76_price,
-    caplet_payoffs,
     caplet_price_last_rate,
     chain_products,
-    check_specs,
     compare_schemes,
     forward_swap_rate,
     price_instruments_mc,
-    swaption_payoffs,
     write_iv_surface,
     zero_strike_caplet_value,
 )

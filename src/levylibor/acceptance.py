@@ -55,12 +55,10 @@ from .pricing import (
     McEstimate,
     black76_implied_vol,
     black76_price,
-    caplet_payoffs,
     caplet_price_last_rate,
     chain_products,
     compare_schemes,
     price_instruments_mc,
-    swaption_payoffs,
     zero_strike_caplet_value,
 )
 
@@ -127,8 +125,8 @@ def build_last_rate_sample(
     """
     last = setup.tenor.n_rates
     specs = [CapletSpec(last, 0.0), CapletSpec(last, setup.initial_rate(last))]
-    return price_instruments_mc(setup, specs, [], [Scheme.FULL_SDE], n_paths,
-                                seed, substeps)[Scheme.FULL_SDE][0]
+    return price_instruments_mc(setup, specs, [Scheme.FULL_SDE], n_paths,
+                                seed, substeps)[Scheme.FULL_SDE]
 
 
 def criterion_martingale_mean(
@@ -214,7 +212,7 @@ def criterion_scheme_coincidence(
         payoffs = {}
         for s, arr in logs.items():
             fix = engine.fixings(arr[:, :, grid.tenor_indices[1:]])
-            payoffs[s] = caplet_payoffs(chain_products(fix, setup), fix, spec, setup)
+            payoffs[s] = spec.payoffs(chain_products(fix, setup), fix, setup)
         ref = logs[Scheme.FULL_SDE][:, last - 1, :]
         ref_pay = payoffs[Scheme.FULL_SDE]
         for s in (Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR):
@@ -401,7 +399,7 @@ def criterion_swaption_consistency(
         combined = math.hypot(full.std_error, tay.std_error)
         allowed = max(3.0 * combined, abs(full.price - fro.price))
         if gap > allowed:
-            violations.append((cell.maturity_index, cell.end_index, cell.moneyness, gap, allowed))
+            violations.append((cell.maturity_index, cell.spec.end_index, cell.moneyness, gap, allowed))
     deep = min(c.moneyness for c in cells)
     groups = {}
     for cell in cells:
@@ -410,7 +408,7 @@ def criterion_swaption_consistency(
     trend_ok = True
     trend_lines = []
     for expiry, cells in sorted(groups.items()):
-        cells.sort(key=lambda c: c.end_index)
+        cells.sort(key=lambda c: c.spec.end_index)
         diffs = []
         noise = []
         for cell in cells:
@@ -458,8 +456,8 @@ def _check_single_period_swaption(setup, engine, dh):
     worst = 0.0
     for i in (2, 5, 8):
         strike = setup.initial_rate(i)
-        cap = caplet_payoffs(products, fix, CapletSpec(i, strike), setup)
-        swp = swaption_payoffs(products, SwaptionSpec(i, i + 1, strike), setup)
+        cap = CapletSpec(i, strike).payoffs(products, fix, setup)
+        swp = SwaptionSpec(i, i + 1, strike).payoffs(products, fix, setup)
         worst = max(worst, float(np.max(np.abs(cap - swp))))
     return worst <= 1e-13, "single-period swaption vs caplet: max |payoff gap| %.3g (tolerance 1e-13)" % worst
 
@@ -501,9 +499,9 @@ def _check_cumulant_values(setup):
 
 def _check_zero_strike_caplet(setup, seed, n_paths, substeps):
     rate = 5
-    result = price_instruments_mc(setup, [CapletSpec(rate, 0.0)], [],
+    result = price_instruments_mc(setup, [CapletSpec(rate, 0.0)],
                                   [Scheme.FULL_SDE], n_paths, seed, substeps)
-    estimate = result[Scheme.FULL_SDE][0][0]
+    estimate = result[Scheme.FULL_SDE][0]
     target = zero_strike_caplet_value(setup, rate)
     dev = estimate.price - target
     ok = abs(dev) <= 3.0 * estimate.std_error
@@ -538,7 +536,7 @@ def _check_grid_refinement(setup, seed, n_paths, substeps):
             (engine_fine, dh_fine, pay_fine),
         ):
             fix = engine.fixings(engine.evolve(Scheme.FULL_SDE, dh))
-            sink.append(caplet_payoffs(chain_products(fix, setup), fix, spec, setup))
+            sink.append(spec.payoffs(chain_products(fix, setup), fix, setup))
     coarse_pay = np.concatenate(pay_coarse)
     fine_pay = np.concatenate(pay_fine)
     bias = abs(float(coarse_pay.mean() - fine_pay.mean()))

@@ -77,26 +77,48 @@ def _paths_scale(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, pricing: bool) -> None:
+def _add_setup(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--setup", metavar="FILE", default=None,
                         help="market setup file (default: bundled setup)")
-    if not pricing:
-        return
-    parser.add_argument("--paths", type=int, default=100_000, metavar="N",
-                        help="Monte Carlo paths (default: 100000)")
+
+
+def _add_run(parser: argparse.ArgumentParser) -> None:
+    """``--setup``, ``--seed`` and ``--substeps``: every simulating command."""
+    _add_setup(parser)
     parser.add_argument("--seed", type=_seed, default=acceptance.DEFAULT_SEED,
                         metavar="N", help="master seed in [0, 2^64); the random "
                         "stream of each block of paths derives from it")
     parser.add_argument("--substeps", type=int, default=4, metavar="N",
                         help="time steps per accrual period (default: 4)")
+
+
+def _add_pricing(parser: argparse.ArgumentParser, reference: str) -> None:
+    """:func:`_add_run` plus ``--paths``, ``--out`` and a ``--moneyness``
+    grid of strike/``reference`` ratios."""
+    _add_run(parser)
+    parser.add_argument("--paths", type=int, default=100_000, metavar="N",
+                        help="Monte Carlo paths (default: 100000)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="output CSV path (default: stdout)")
+    parser.add_argument("--moneyness", type=_parse_moneyness,
+                        default=DEFAULT_MONEYNESS, metavar="LIST",
+                        help=f"comma-separated strike/{reference} ratios")
 
 
-def _add_scheme(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scheme", default="full",
-                        choices=[s.value for s in Scheme],
-                        help="simulation scheme (default: full)")
+def _add_price(sub, name: str, reference: str,
+               specs) -> argparse.ArgumentParser:
+    """A one-scheme price command whose instruments ``specs(setup, args)``
+    yields."""
+    p = sub.add_parser(
+        name, help=f"price {name.removeprefix('price-')} by Monte Carlo")
+    _add_pricing(p, reference)
+    p.add_argument("--scheme", default="full",
+                   choices=[s.value for s in Scheme],
+                   help="simulation scheme (default: full)")
+    p.add_argument("--strike", type=float, default=None,
+                   help="absolute strike (default: moneyness grid)")
+    p.set_defaults(func=_cmd_price, specs=specs)
+    return p
 
 
 def _load(args: argparse.Namespace) -> MarketSetup:
@@ -120,17 +142,6 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _write_price_rows(file, rows) -> None:
-    writer = csv.writer(file, lineterminator="\n")
-    writer.writerow(_PRICE_HEADER)
-    for instrument, i, end, strike, est in rows:
-        writer.writerow([
-            instrument, i, "" if end is None else end, f"{strike:.10g}",
-            est.scheme.value, f"{est.price:.12g}", f"{est.std_error:.6g}",
-            est.n_paths, est.n_invalid, est.seed,
-        ])
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     setup = _load(args)
     report = validate_setup(setup)
@@ -139,31 +150,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _caplet_strikes(setup: MarketSetup, args: argparse.Namespace):
+def _caplet_specs(setup: MarketSetup, args: argparse.Namespace):
     rates = args.rate if args.rate else list(range(1, setup.n_rates + 1))
     for i in rates:
         if not 1 <= i <= setup.n_rates:
             raise ValueError(f"rate index {i} outside 1..{setup.n_rates}")
         if args.strike is not None:
-            yield i, args.strike
+            yield CapletSpec(i, args.strike)
         else:
             forward = setup.initial_rate(i)
             for m in args.moneyness:
-                yield i, m * forward
-
-
-def _cmd_price_caplets(args: argparse.Namespace) -> int:
-    setup = _load_valid(args)
-    scheme = Scheme.parse(args.scheme)
-    specs = [CapletSpec(i, strike) for i, strike in _caplet_strikes(setup, args)]
-    results = price_instruments_mc(
-        setup, specs, [], [scheme], args.paths, args.seed, args.substeps)
-    estimates = results[scheme][0]
-    rows = [("caplet", spec.maturity_index, None, spec.strike, est)
-            for spec, est in zip(specs, estimates)]
-    with _open_out(args.out) as fh:
-        _write_price_rows(fh, rows)
-    return 0
+                yield CapletSpec(i, m * forward)
 
 
 def _swaption_specs(setup: MarketSetup, args: argparse.Namespace):
@@ -180,18 +177,22 @@ def _swaption_specs(setup: MarketSetup, args: argparse.Namespace):
                 yield SwaptionSpec(i, end, m * par)
 
 
-def _cmd_price_swaptions(args: argparse.Namespace) -> int:
+def _cmd_price(args: argparse.Namespace) -> int:
     setup = _load_valid(args)
     scheme = Scheme.parse(args.scheme)
-    specs = list(_swaption_specs(setup, args))
-    results = price_instruments_mc(
-        setup, [], specs, [scheme], args.paths, args.seed, args.substeps)
-    estimates = results[scheme][1]
-    rows = [(f"swaption_{s.expiry_index}_{s.end_index}", s.expiry_index,
-             s.end_index, s.strike, est)
-            for s, est in zip(specs, estimates)]
+    specs = list(args.specs(setup, args))
+    estimates = price_instruments_mc(
+        setup, specs, [scheme], args.paths, args.seed, args.substeps)[scheme]
     with _open_out(args.out) as fh:
-        _write_price_rows(fh, rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_PRICE_HEADER)
+        for spec, est in zip(specs, estimates):
+            writer.writerow([
+                spec.name, spec.maturity_index,
+                "" if isinstance(spec, CapletSpec) else spec.end_index,
+                f"{spec.strike:.10g}", est.scheme.value, f"{est.price:.12g}",
+                f"{est.std_error:.6g}", est.n_paths, est.n_invalid, est.seed,
+            ])
     return 0
 
 
@@ -262,45 +263,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a market setup file")
-    _add_common(p, pricing=False)
+    _add_setup(p)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("price-caplets", help="price caplets by Monte Carlo")
-    _add_common(p, pricing=True)
-    _add_scheme(p)
+    p = _add_price(sub, "price-caplets", "forward", _caplet_specs)
     p.add_argument("--rate", type=int, action="append", metavar="I",
                    help="rate index (repeatable; default: all rates)")
-    p.add_argument("--strike", type=float, default=None,
-                   help="absolute strike (default: moneyness grid)")
-    p.add_argument("--moneyness", type=_parse_moneyness,
-                   default=DEFAULT_MONEYNESS, metavar="LIST",
-                   help="comma-separated strike/forward ratios")
-    p.set_defaults(func=_cmd_price_caplets)
 
-    p = sub.add_parser("price-swaptions", help="price swaptions by Monte Carlo")
-    _add_common(p, pricing=True)
-    _add_scheme(p)
+    p = _add_price(sub, "price-swaptions", "par-rate", _swaption_specs)
     p.add_argument("--expiry", type=int, default=None, metavar="I",
                    help="option expiry rate index")
     p.add_argument("--end", type=int, default=None, metavar="M",
                    help="swap end index (exclusive with the default grid)")
-    p.add_argument("--strike", type=float, default=None,
-                   help="absolute strike (default: moneyness grid)")
-    p.add_argument("--moneyness", type=_parse_moneyness,
-                   default=DEFAULT_MONEYNESS, metavar="LIST",
-                   help="comma-separated strike/par-rate ratios")
-    p.set_defaults(func=_cmd_price_swaptions)
 
     # No abbreviations: --scheme would be read as a prefix of --schemes.
     p = sub.add_parser("compare", allow_abbrev=False,
                        help="price the instrument grids under several "
                             "schemes on common random numbers")
-    _add_common(p, pricing=True)
+    _add_pricing(p, "forward")
     p.add_argument("--schemes", default="full,frozen,taylor", metavar="LIST",
                    help="comma-separated schemes (must include full)")
-    p.add_argument("--moneyness", type=_parse_moneyness,
-                   default=DEFAULT_MONEYNESS, metavar="LIST",
-                   help="comma-separated strike/forward ratios")
     p.add_argument("--surface-out", metavar="PREFIX", default=None,
                    help="also write implied-vol difference surfaces to "
                         "PREFIX_<scheme>.dat")
@@ -309,11 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-paper",
                        help="run the full bundled-setup experiment and the "
                             "acceptance-criteria summary")
-    _add_common(p, pricing=False)
-    p.add_argument("--seed", type=_seed, default=acceptance.DEFAULT_SEED,
-                   metavar="N", help="master seed in [0, 2^64)")
-    p.add_argument("--substeps", type=int, default=4, metavar="N",
-                   help="time steps per accrual period (default: 4)")
+    _add_run(p)
     p.add_argument("--paths-scale", type=_paths_scale, default=1.0,
                    metavar="X",
                    help="rescale all path counts (smoke runs only)")

@@ -3,15 +3,15 @@
 The driving process H is a pure-jump normal inverse Gaussian (NIG) Levy
 process with law :class:`NigParams` per unit of time.  Everything the rest
 of the engine needs from H lives here: cumulant functions, exact increment
-sampling, per-block random streams and the exponential-moment checks that
-make the forward-rate construction well defined.
+sampling, per-block random streams and the exponential-moment bound that
+``levylibor.market.validate_setup`` checks to keep the forward-rate
+construction well defined.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import k1e
@@ -203,7 +203,7 @@ def block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Exponential-moment validation
+# Exponential-moment bound
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -223,42 +223,3 @@ class ExponentialMomentBound:
             raise ValueError("bound must be positive")
         if self.slack < 0.0:
             raise ValueError("slack must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ExponentialMomentReport:
-    """Outcome of the exponential-moment check, one flag per condition."""
-
-    vol_sum: float
-    bound: float
-    required: float
-    domain_halfwidth: float
-    sum_ok: bool
-    domain_ok: bool
-
-
-def validate_exponential_moments(vol_sups: Sequence[float],
-                                 cfg: ExponentialMomentBound,
-                                 p: NigParams) -> ExponentialMomentReport:
-    """Check that every drift integral stays inside the finite-moment domain.
-
-    The drift of each rate evaluates cumulants at sums of volatility
-    loadings; with ``sum_i sup_t |lambda_i(t)| <= bound`` every such argument
-    lies in ``[-bound, bound]``.  The NIG law has finite exponential moments
-    exactly for arguments ``u`` with ``|beta + u| <= alpha`` (boundary
-    included), so the check requires ``(1 + slack) * bound <= alpha - |beta|``.
-
-    ``vol_sups`` holds one number per rate: the sup over time of the absolute
-    volatility loading.
-    """
-    vol_sum = float(np.sum(np.abs(np.asarray(vol_sups, dtype=float))))
-    halfwidth = p.alpha - abs(p.beta)
-    required = (1.0 + cfg.slack) * cfg.bound
-    return ExponentialMomentReport(
-        vol_sum=vol_sum,
-        bound=cfg.bound,
-        required=required,
-        domain_halfwidth=halfwidth,
-        sum_ok=vol_sum <= cfg.bound,
-        domain_ok=required <= halfwidth,
-    )

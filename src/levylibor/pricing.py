@@ -45,8 +45,29 @@ class CapletSpec:
     def __post_init__(self) -> None:
         if self.maturity_index < 1:
             raise ValueError("maturity_index is 1-based")
-        if not self.strike >= 0.0:
-            raise ValueError(f"strike must be nonnegative, got {self.strike}")
+        if not 0.0 <= self.strike < math.inf:
+            raise ValueError(
+                f"strike must be finite and nonnegative, got {self.strike}")
+
+    @property
+    def name(self) -> str:
+        return "caplet"
+
+    def check_tenor(self, setup: MarketSetup) -> None:
+        """Raise ValueError unless the rate index lies in 1..N, as
+        :meth:`payoffs` assumes."""
+        n = setup.n_rates
+        if not 1 <= self.maturity_index <= n:
+            raise ValueError(
+                f"rate index {self.maturity_index} outside 1..{n}")
+
+    def payoffs(self, products: np.ndarray, fixings: np.ndarray,
+                setup: MarketSetup) -> np.ndarray:
+        """Discounted payoff per path (terminal-measure weighting)."""
+        i = self.maturity_index
+        scale = setup.tenor.accrual(i) * setup.curve.bond(setup.n_rates + 1)
+        raw = np.maximum(fixings[:, i - 1, i - 1] - self.strike, 0.0)
+        return scale * products[:, i - 1, i + 1] * raw
 
 
 @dataclass(frozen=True)
@@ -65,8 +86,33 @@ class SwaptionSpec:
             raise ValueError("expiry_index is 1-based")
         if self.end_index <= self.expiry_index:
             raise ValueError("end_index must exceed expiry_index")
-        if not self.strike >= 0.0:
-            raise ValueError(f"strike must be nonnegative, got {self.strike}")
+        if not 0.0 <= self.strike < math.inf:
+            raise ValueError(
+                f"strike must be finite and nonnegative, got {self.strike}")
+
+    @property
+    def maturity_index(self) -> int:
+        return self.expiry_index
+
+    @property
+    def name(self) -> str:
+        return f"swaption_{self.expiry_index}_{self.end_index}"
+
+    def check_tenor(self, setup: MarketSetup) -> None:
+        """Raise ValueError unless ``1 <= expiry < end <= N+1``, as
+        :meth:`payoffs` assumes."""
+        _check_swap_dates(setup, self.expiry_index, self.end_index)
+
+    def payoffs(self, products: np.ndarray, fixings: np.ndarray,
+                setup: MarketSetup) -> np.ndarray:
+        """Discounted payoff per path; reads the chain products only."""
+        i, m = self.expiry_index, self.end_index
+        row = products[:, i - 1, :]
+        fixed_leg = np.zeros(row.shape[0])
+        for k in range(i + 1, m + 1):
+            fixed_leg += setup.tenor.accrual(k - 1) * row[:, k]
+        value = row[:, i] - row[:, m] - self.strike * fixed_leg
+        return setup.curve.bond(setup.n_rates + 1) * np.maximum(value, 0.0)
 
 
 @dataclass(frozen=True)
@@ -84,22 +130,6 @@ class McEstimate:
 # ---------------------------------------------------------------------------
 # Payoffs
 # ---------------------------------------------------------------------------
-
-def check_specs(setup: MarketSetup, caplets: Sequence[CapletSpec] = (),
-                swaptions: Sequence[SwaptionSpec] = ()) -> None:
-    """Raise ValueError unless every contract lives on the setup's tenor.
-
-    Caplets need a rate index in 1..N; swaptions need
-    ``1 <= expiry < end <= N+1``.  The payoff functions below assume this.
-    """
-    n = setup.n_rates
-    for spec in caplets:
-        if not 1 <= spec.maturity_index <= n:
-            raise ValueError(
-                f"rate index {spec.maturity_index} outside 1..{n}")
-    for spec in swaptions:
-        _check_swap_dates(setup, spec.expiry_index, spec.end_index)
-
 
 def _check_swap_dates(setup: MarketSetup, expiry_index: int,
                       end_index: int) -> None:
@@ -124,27 +154,6 @@ def chain_products(fixings: np.ndarray, setup: MarketSetup) -> np.ndarray:
         out[:, :, k] = out[:, :, k + 1] * (1.0 + accruals[k - 1]
                                            * fixings[:, :, k - 1])
     return out
-
-
-def caplet_payoffs(products: np.ndarray, fixings: np.ndarray,
-                   spec: CapletSpec, setup: MarketSetup) -> np.ndarray:
-    """Discounted caplet payoff per path (terminal-measure weighting)."""
-    i = spec.maturity_index
-    scale = setup.tenor.accrual(i) * setup.curve.bond(setup.n_rates + 1)
-    raw = np.maximum(fixings[:, i - 1, i - 1] - spec.strike, 0.0)
-    return scale * products[:, i - 1, i + 1] * raw
-
-
-def swaption_payoffs(products: np.ndarray, spec: SwaptionSpec,
-                     setup: MarketSetup) -> np.ndarray:
-    """Discounted payer-swaption payoff per path."""
-    i, m = spec.expiry_index, spec.end_index
-    row = products[:, i - 1, :]
-    fixed_leg = np.zeros(row.shape[0])
-    for k in range(i + 1, m + 1):
-        fixed_leg += setup.tenor.accrual(k - 1) * row[:, k]
-    value = row[:, i] - row[:, m] - spec.strike * fixed_leg
-    return setup.curve.bond(setup.n_rates + 1) * np.maximum(value, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -354,24 +363,23 @@ class _Accumulator:
 
 
 def price_instruments_mc(setup: MarketSetup,
-                         caplets: Sequence[CapletSpec],
-                         swaptions: Sequence[SwaptionSpec],
+                         instruments: Sequence[CapletSpec | SwaptionSpec],
                          schemes: Sequence[Scheme],
                          n_paths: int, seed: int, substeps: int = 4
-                         ) -> dict[Scheme, tuple[list[McEstimate],
-                                                 list[McEstimate]]]:
+                         ) -> dict[Scheme, list[McEstimate]]:
     """Price many instruments under several schemes on shared increments.
 
     One ensemble of driver increments feeds every scheme (common random
     numbers), so cross-scheme differences carry no sampling noise from the
-    driver itself.  Returns per scheme a pair of estimate lists matching
-    ``caplets`` and ``swaptions``.  Invalid (overflowed) paths are excluded
-    from the estimators and counted.
+    driver itself.  ``instruments`` may mix caplets and swaptions in any
+    order; returns per scheme one estimate per instrument, in that order.
+    Invalid (overflowed) paths are excluded from the estimators and counted.
 
     Raises
     ------
     ValueError
-        If ``n_paths`` is below one or a scheme is listed twice.
+        If ``n_paths`` is below one, a scheme is listed twice or an
+        instrument does not live on the setup's tenor.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -379,13 +387,14 @@ def price_instruments_mc(setup: MarketSetup,
     if len(set(schemes)) != len(schemes):
         raise ValueError("schemes listed more than once: "
                          + ",".join(s.value for s in schemes))
-    check_specs(setup, caplets, swaptions)
+    for spec in instruments:
+        spec.check_tenor(setup)
     grid = build_grid(setup.tenor, substeps)
     engine = SimulationEngine(setup, grid)
 
     acc: dict[Scheme, _Accumulator] = {
-        s: _Accumulator(np.zeros(len(caplets) + len(swaptions)),
-                        np.zeros(len(caplets) + len(swaptions)))
+        s: _Accumulator(np.zeros(len(instruments)),
+                        np.zeros(len(instruments)))
         for s in schemes
     }
 
@@ -398,13 +407,8 @@ def price_instruments_mc(setup: MarketSetup,
             fix = engine.fixings(log_fix)
             valid = engine.valid_mask(log_fix, fix)
             products = chain_products(fix, setup)
-            payoffs = [
-                caplet_payoffs(products, fix, spec, setup)[valid]
-                for spec in caplets
-            ] + [
-                swaption_payoffs(products, spec, setup)[valid]
-                for spec in swaptions
-            ]
+            payoffs = [spec.payoffs(products, fix, setup)[valid]
+                       for spec in instruments]
             n_valid = int(valid.sum())
             a = acc[scheme]
             a.total += np.array([p.sum() for p in payoffs])
@@ -415,11 +419,11 @@ def price_instruments_mc(setup: MarketSetup,
     for start in range(0, n_paths, DEFAULT_BATCH):
         add_batch(start, min(DEFAULT_BATCH, n_paths - start))
 
-    out: dict[Scheme, tuple[list[McEstimate], list[McEstimate]]] = {}
+    out: dict[Scheme, list[McEstimate]] = {}
     for scheme in schemes:
         a = acc[scheme]
         estimates = []
-        for j in range(len(caplets) + len(swaptions)):
+        for j in range(len(instruments)):
             n = a.n_valid
             if n < 1:
                 mean, se = float("nan"), float("inf")
@@ -433,7 +437,7 @@ def price_instruments_mc(setup: MarketSetup,
             estimates.append(McEstimate(price=float(mean), std_error=se,
                                         n_paths=n, n_invalid=a.n_invalid,
                                         seed=seed, scheme=scheme))
-        out[scheme] = (estimates[:len(caplets)], estimates[len(caplets):])
+        out[scheme] = estimates
     return out
 
 
@@ -445,10 +449,7 @@ def price_instruments_mc(setup: MarketSetup,
 class ComparisonCell:
     """One instrument-strike cell with its per-scheme estimates."""
 
-    instrument: str
-    maturity_index: int
-    end_index: int | None
-    strike: float
+    spec: CapletSpec | SwaptionSpec
     moneyness: float
     forward: float
     expiry: float
@@ -457,8 +458,16 @@ class ComparisonCell:
     iv_failures: dict[Scheme, ImpliedVolError] = field(default_factory=dict)
 
     @property
+    def maturity_index(self) -> int:
+        return self.spec.maturity_index
+
+    @property
+    def strike(self) -> float:
+        return self.spec.strike
+
+    @property
     def is_caplet(self) -> bool:
-        return self.end_index is None
+        return isinstance(self.spec, CapletSpec)
 
     def iv_diff(self, scheme: Scheme) -> float | None:
         if scheme in self.implied_vols and Scheme.FULL_SDE in self.implied_vols:
@@ -514,7 +523,7 @@ class ComparisonTable:
                 ivd = cell.iv_diff(scheme)
                 is_full = scheme is Scheme.FULL_SDE
                 writer.writerow([
-                    cell.instrument, cell.maturity_index,
+                    cell.spec.name, cell.maturity_index,
                     f"{cell.strike:.10g}", scheme.value,
                     f"{est.price:.12g}", f"{est.std_error:.6g}",
                     "" if iv is None else f"{iv:.10g}",
@@ -553,41 +562,23 @@ def compare_schemes(setup: MarketSetup, n_paths: int, seed: int,
     caplets as Black-76 implied vols."""
     if Scheme.FULL_SDE not in schemes:
         raise ValueError("comparisons are quoted against the full scheme")
-    cells: list[ComparisonCell] = []
-    caplet_specs: list[CapletSpec] = []
-    swaption_specs: list[SwaptionSpec] = []
-    for i in range(1, setup.n_rates + 1):
-        forward = setup.initial_rate(i)
-        for m in moneyness:
-            strike = m * forward
-            caplet_specs.append(CapletSpec(i, strike))
-            cells.append(ComparisonCell(
-                instrument="caplet", maturity_index=i, end_index=None,
-                strike=strike, moneyness=m, forward=forward,
-                expiry=setup.tenor.date(i)))
-    for (i, end) in DEFAULT_SWAPTION_PAIRS:
-        forward = forward_swap_rate(setup, i, end)
-        for m in moneyness:
-            strike = m * forward
-            swaption_specs.append(SwaptionSpec(i, end, strike))
-            cells.append(ComparisonCell(
-                instrument=f"swaption_{i}_{end}", maturity_index=i,
-                end_index=end, strike=strike, moneyness=m, forward=forward,
-                expiry=setup.tenor.date(i)))
+    # (spec type, its tenor indices, the forward its strikes scale)
+    grids = [(CapletSpec, (i,), setup.initial_rate(i))
+             for i in range(1, setup.n_rates + 1)]
+    grids += [(SwaptionSpec, pair, forward_swap_rate(setup, *pair))
+              for pair in DEFAULT_SWAPTION_PAIRS]
+    cells = [ComparisonCell(spec=kind(*dates, m * forward), moneyness=m,
+                            forward=forward, expiry=setup.tenor.date(dates[0]))
+             for kind, dates, forward in grids for m in moneyness]
 
-    results = price_instruments_mc(setup, caplet_specs, swaption_specs,
+    results = price_instruments_mc(setup, [cell.spec for cell in cells],
                                    schemes, n_paths, seed, substeps)
-
-    n_caplets = len(caplet_specs)
     for scheme in schemes:
-        cap_est, swap_est = results[scheme]
-        for idx, est in enumerate(cap_est):
-            cells[idx].estimates[scheme] = est
-        for idx, est in enumerate(swap_est):
-            cells[n_caplets + idx].estimates[scheme] = est
+        for cell, est in zip(cells, results[scheme]):
+            cell.estimates[scheme] = est
 
     # One inversion for every caplet cell under every scheme, cell-major.
-    quoted = [(cell, scheme) for cell in cells[:n_caplets]
+    quoted = [(cell, scheme) for cell in cells if cell.is_caplet
               for scheme in schemes]
     vols, failures = black76_implied_vols(
         [cell.estimates[scheme].price for cell, scheme in quoted],

@@ -45,9 +45,9 @@ def test_last_rate_sample_matches_separate_pricing(setup):
     zero_strike, atm = acceptance.build_last_rate_sample(
         setup, acceptance.DEFAULT_SEED, 1000)
     alone = [
-        price_instruments_mc(setup, [CapletSpec(9, strike)], [],
+        price_instruments_mc(setup, [CapletSpec(9, strike)],
                              [Scheme.FULL_SDE], 1000, acceptance.DEFAULT_SEED,
-                             acceptance.DEFAULT_SUBSTEPS)[Scheme.FULL_SDE][0][0]
+                             acceptance.DEFAULT_SUBSTEPS)[Scheme.FULL_SDE][0]
         for strike in (0.0, setup.initial_rate(9))]
     assert [zero_strike, atm] == alone
     assert zero_strike.n_paths + zero_strike.n_invalid == 1000

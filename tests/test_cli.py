@@ -89,7 +89,8 @@ class TestLoadingLattice:
 
 def _rejected_setup(tmp_path, name):
     # a setup that validate rejects; each is priced quietly wrong at the
-    # engine: a drifting driver, a rising curve, a loading sum over M
+    # engine: a drifting driver, a rising curve, a loading sum over M, a
+    # last bond so small that the last forward rate overflows to inf
     raw = setup_to_dict(bundled_setup())
     if name == "drifting_driver":
         raw["nig"]["mu"] = 0.02
@@ -97,6 +98,9 @@ def _rejected_setup(tmp_path, name):
     elif name == "rising_curve":
         raw["bond_prices"][2] = raw["bond_prices"][1] * 1.01
         detail = "B(0, T_2) = "
+    elif name == "tiny_last_bond":
+        raw["bond_prices"][-1] = 1e-310
+        detail = "initial forward rates in [0.0386098, inf]"
     else:
         raw["em"]["M"] = 0.5
         detail = "vs bound 0.5"
@@ -107,7 +111,7 @@ def _rejected_setup(tmp_path, name):
 
 class TestRejectedSetup:
     @pytest.mark.parametrize("name", ["drifting_driver", "rising_curve",
-                                      "small_moment_bound"])
+                                      "small_moment_bound", "tiny_last_bond"])
     @pytest.mark.parametrize("command", [
         ["price-caplets", "--rate", "5", "--moneyness", "1.0"],
         ["price-swaptions", "--expiry", "2", "--end", "4"],
@@ -154,6 +158,7 @@ class TestPriceCaplets:
         assert len(rows) == 1
         row = rows[0]
         assert row["instrument"] == "caplet"
+        assert row["end_index"] == ""
         target = zero_strike_caplet_value(bundled_setup(), 9)
         price, se = float(row["price"]), float(row["std_error"])
         assert abs(price - target) <= 3.0 * se
@@ -165,12 +170,14 @@ class TestPriceCaplets:
         assert "rate index" in err
 
     def test_nan_strike_is_rejected(self, capsys):
-        code, out, err = run_cli(
-            ["price-caplets", "--rate", "2", "--strike", "nan",
-             "--paths", "100"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "strike" in err
+        # so is an infinite one, which would price at zero
+        for strike in ("nan", "inf"):
+            code, out, err = run_cli(
+                ["price-caplets", "--rate", "2", "--strike", strike,
+                 "--paths", "100"], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: strike must be finite")
 
     def test_moneyness_grid_row_count(self, capsys):
         code, out, _ = run_cli(

@@ -23,7 +23,6 @@ from levylibor import (
     bundled_setup,
     sample_nig_increment,
 )
-from levylibor.driver import ExponentialMomentBound, validate_exponential_moments
 
 BENCH = NigParams(alpha=1.5, beta=0.0, delta=1.5, mu=0.0)
 
@@ -227,31 +226,3 @@ class TestTripletIncrements:
             (kappa4 + 2.0 * horizon**2) / n)
         assert abs(totals.mean()) < 4.0 * np.sqrt(horizon / n)
 
-
-class TestExponentialMomentValidation:
-    def test_passes_with_slack(self):
-        rep = validate_exponential_moments(
-            (0.2, 0.19, 0.12), ExponentialMomentBound(0.6, 0.05), BENCH)
-        assert rep.sum_ok and rep.domain_ok
-        assert rep.vol_sum == pytest.approx(0.51)
-
-    def test_boundary_is_closed(self):
-        # slack zero and (1+0)*M equal to the domain half-width still passes
-        rep = validate_exponential_moments(
-            (1.5,), ExponentialMomentBound(1.5, 0.0), BENCH)
-        assert rep.sum_ok and rep.domain_ok
-
-    def test_zero_volatilities_always_pass(self):
-        rep = validate_exponential_moments(
-            (0.0,) * 9, ExponentialMomentBound(1.45, 0.03), BENCH)
-        assert rep.sum_ok and rep.domain_ok
-
-    def test_sum_violation_fails(self):
-        rep = validate_exponential_moments(
-            (1.0, 0.6), ExponentialMomentBound(1.45, 0.03), BENCH)
-        assert not rep.sum_ok
-
-    def test_domain_violation_fails(self):
-        rep = validate_exponential_moments(
-            (0.5,), ExponentialMomentBound(1.49, 0.02), BENCH)
-        assert rep.sum_ok and not rep.domain_ok

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from levylibor import (
     BUNDLED_SETUP,
     DiscountCurve,
+    ExponentialMomentBound,
     MarketSetup,
     NigParams,
     SetupValidationReport,
@@ -313,6 +314,34 @@ class TestValidation:
         report = validate_setup(setup_from_dict(raw))
         assert not report.item("moment_domain").passed
         assert report.item("volatility_sum").passed
+
+    @pytest.mark.parametrize("loadings, bound, slack, sum_ok, domain_ok", [
+        pytest.param((0.2, 0.19, 0.12), 0.6, 0.05, True, True,
+                     id="passes_with_slack"),
+        # slack zero and (1+0)*M equal to the domain half-width still passes
+        pytest.param((1.5,), 1.5, 0.0, True, True, id="boundary_is_closed"),
+        pytest.param((0.0,) * 9, 1.45, 0.03, True, True,
+                     id="zero_volatilities_always_pass"),
+        pytest.param((1.0, 0.6), 1.45, 0.03, False, True,
+                     id="sum_violation_fails"),
+        pytest.param((0.5,), 1.49, 0.02, True, False,
+                     id="domain_violation_fails"),
+    ])
+    def test_exponential_moment_items(self, loadings, bound, slack, sum_ok,
+                                      domain_ok):
+        # alpha - |beta| = 1.5 is the half-width of the moment domain
+        tenor = regular_tenor(len(loadings))
+        curve = DiscountCurve(tuple(0.98**k
+                                    for k in range(1, len(loadings) + 2)))
+        report = validate_setup(MarketSetup(
+            tenor=tenor, curve=curve, vols=flat_per_rate(tenor, loadings),
+            nig=NigParams(alpha=1.5, beta=0.0, delta=1.5, mu=0.0),
+            em=ExponentialMomentBound(bound, slack)))
+        vol_sum = report.item("volatility_sum")
+        assert vol_sum.passed is sum_ok
+        assert vol_sum.detail.startswith(
+            f"summed loadings {sum(loadings):.6g} vs")
+        assert report.item("moment_domain").passed is domain_ok
 
     def test_off_lattice_loading_reported_not_raised(self, setup):
         raw = self._raw(setup)

@@ -27,7 +27,6 @@ from levylibor import (
     price_instruments_mc,
     setup_from_dict,
     setup_to_dict,
-    swaption_payoffs,
     zero_strike_caplet_value,
 )
 
@@ -110,6 +109,8 @@ class TestSpecs:
             CapletSpec(3, -0.01)
         with pytest.raises(ValueError):
             CapletSpec(3, math.nan)
+        with pytest.raises(ValueError):
+            CapletSpec(3, math.inf)
         CapletSpec(3, 0.0)  # zero strike is a legitimate boundary contract
 
     def test_swaption_spec_validation(self):
@@ -119,7 +120,17 @@ class TestSpecs:
             SwaptionSpec(0, 2, 0.05)
         with pytest.raises(ValueError):
             SwaptionSpec(2, 4, math.nan)
+        with pytest.raises(ValueError):
+            SwaptionSpec(2, 4, math.inf)
         SwaptionSpec(2, 4, 0.05)
+
+    @pytest.mark.parametrize("spec", [CapletSpec(10, 0.05),
+                                      SwaptionSpec(9, 11, 0.05)])
+    def test_instrument_off_the_tenor_is_rejected(self, setup, spec):
+        # each spec checks its own dates, wherever it sits in the list
+        with pytest.raises(ValueError, match="1 <= expiry|outside 1..9"):
+            price_instruments_mc(setup, [CapletSpec(2, 0.04), spec],
+                                 [Scheme.FULL_SDE], 10, 1)
 
 
 class TestBlack76:
@@ -268,9 +279,9 @@ class TestForwardSwapRate:
 
 def _price_caplet(setup, spec, scheme, n_paths, seed, substeps=4):
     # one caplet under one scheme
-    res = price_instruments_mc(setup, [spec], [], [scheme], n_paths, seed,
+    res = price_instruments_mc(setup, [spec], [scheme], n_paths, seed,
                                substeps)
-    return res[scheme][0][0]
+    return res[scheme][0]
 
 
 class TestMonteCarloEstimators:
@@ -291,30 +302,33 @@ class TestMonteCarloEstimators:
 
     def test_single_period_swaption_equals_caplet(self, setup):
         strike = setup.initial_rate(6)
-        res = price_instruments_mc(setup, [CapletSpec(6, strike)],
-                                   [SwaptionSpec(6, 7, strike)],
+        res = price_instruments_mc(setup, [CapletSpec(6, strike),
+                                           SwaptionSpec(6, 7, strike)],
                                    [Scheme.FULL_SDE], n_paths=3000, seed=13,
                                    substeps=2)
-        (cap,), (swp,) = res[Scheme.FULL_SDE]
+        cap, swp = res[Scheme.FULL_SDE]
         assert swp.price == pytest.approx(cap.price, rel=1e-12)
         assert swp.std_error == pytest.approx(cap.std_error, rel=1e-10)
 
     def test_shared_increments_across_instruments(self, setup):
-        # one run pricing two instruments equals two separate runs at the
-        # same seed: estimates depend only on (seed, path index)
-        specs = [CapletSpec(2, 0.04), CapletSpec(7, 0.05)]
-        both = price_instruments_mc(setup, specs, [], [Scheme.FULL_SDE],
-                                    2000, 17, 2)
-        single = price_instruments_mc(setup, [specs[1]], [],
-                                      [Scheme.FULL_SDE], 2000, 17, 2)
-        assert both[Scheme.FULL_SDE][0][1].price == \
-            single[Scheme.FULL_SDE][0][0].price
+        # one run over an interleaved list of caplets and swaptions equals
+        # a separate run per instrument at the same seed, bit for bit:
+        # estimates depend only on (seed, path index), in input order
+        specs = [SwaptionSpec(4, 8, 0.05), CapletSpec(2, 0.04),
+                 SwaptionSpec(2, 5, 0.045), CapletSpec(7, 0.05),
+                 CapletSpec(9, 0.0)]
+        schemes = [Scheme.FULL_SDE, Scheme.STRONG_TAYLOR]
+        mixed = price_instruments_mc(setup, specs, schemes, 2000, 17, 2)
+        for j, spec in enumerate(specs):
+            alone = price_instruments_mc(setup, [spec], schemes, 2000, 17, 2)
+            for scheme in schemes:
+                assert mixed[scheme][j] == alone[scheme][0]
 
     def test_repeated_scheme_is_rejected(self, setup):
         # two entries for one scheme would pool their paths into one
         # estimator: twice the path count and a sqrt(2) too small error
         with pytest.raises(ValueError, match="more than once"):
-            price_instruments_mc(setup, [CapletSpec(9, 0.05)], [],
+            price_instruments_mc(setup, [CapletSpec(9, 0.05)],
                                  [Scheme.FULL_SDE, Scheme.FULL_SDE], 100, 1)
         with pytest.raises(ValueError, match="more than once"):
             compare_schemes(setup, n_paths=10, seed=1,
@@ -346,8 +360,8 @@ class TestMonteCarloEstimators:
         # swaption has no value at any positive strike
         fix = np.zeros((1, 9, 9))
         fix[0][np.tril_indices(9, k=-1)] = np.nan
-        payoff = swaption_payoffs(chain_products(fix, setup),
-                                  SwaptionSpec(2, 5, 0.05), setup)
+        payoff = SwaptionSpec(2, 5, 0.05).payoffs(chain_products(fix, setup),
+                                                  fix, setup)
         assert payoff.tolist() == [0.0]
 
 
@@ -427,9 +441,8 @@ class TestCompareSchemes:
 
         def all_frozen_paths_invalid(*args, **kwargs):
             out = real(*args, **kwargs)
-            caps, swps = out[Scheme.FROZEN_DRIFT]
-            out[Scheme.FROZEN_DRIFT] = (
-                [dataclasses.replace(e, price=math.nan) for e in caps], swps)
+            out[Scheme.FROZEN_DRIFT] = [dataclasses.replace(e, price=math.nan)
+                                        for e in out[Scheme.FROZEN_DRIFT]]
             return out
 
         monkeypatch.setattr(pricing, "price_instruments_mc",
