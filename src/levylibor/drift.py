@@ -22,8 +22,9 @@ tenor, absorbing one rate per iteration, and reduces it against the
 state-free vector ``kappa(lam_i + x h) - kappa(x h)``: O(paths * rates *
 reachable lattice points) per step.  It is the only drift route of the engine.
 :func:`drift_quadrature` integrates the same integrand directly against the
-Levy density; it is far too slow for simulation and serves as the
-independent oracle the evaluator is tested against.
+Levy density, batching many (time, rate, state) cases into one vector
+quadrature per piece of the line; it is far too slow for simulation and
+serves as the independent oracle the evaluator is tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import bisect
 import itertools
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad_vec
 
 from .driver import nig_jump_cumulant, nig_levy_density
 from .market import LOADING_QUANTA, MarketSetup, loading_lattice
@@ -264,11 +265,14 @@ class DriftEvaluator:
 # Quadrature: the test oracle
 # ---------------------------------------------------------------------------
 
-def drift_quadrature(s: float, i: int, log_rates,
-                     setup: MarketSetup) -> float:
-    """Jump-integral term ``J`` of rate ``i`` at time ``s`` by adaptive
+def drift_quadrature(s, i, log_rates, setup: MarketSetup):
+    """Jump-integral terms ``J`` of rates ``i`` at times ``s`` by adaptive
     quadrature against the Levy density, for log rates ``log_rates``; the
     independent oracle :meth:`DriftEvaluator.jump_terms` is checked against.
+
+    ``s`` and ``i`` are scalars or arrays of shape (m,) and ``log_rates``
+    has shape (N,) or (m, N); the terms come back with shape (m,), or as a
+    ``float`` for scalar arguments.  Rates past their fixing get 0.0.
 
     The integrand is kept in compensated form,
 
@@ -277,33 +281,61 @@ def drift_quadrature(s: float, i: int, log_rates,
 
     which vanishes to second order at the origin where the density blows up
     like ``x^-2``; below ``|x| = 1e-6`` the finite product ``g * density`` is
-    replaced by its analytic limit.
+    replaced by its analytic limit.  The cases are batched: each piece of
+    the line is one vector quadrature over all of them, on shared
+    subintervals, so ``epsrel`` applies to the largest ``|J|`` of the batch.
+
+    Raises
+    ------
+    IndexError
+        If any rate index is outside 1..N.
+    ValueError
+        If any state does not hold N log rates.
     """
-    lam_i, weights, lams = _drift_inputs(s, i, log_rates, setup)
-    if lam_i == 0.0:
-        return 0.0
-    p = setup.nig
-    weights = np.asarray(weights)
-    lams = np.asarray(lams)
+    s_arr, i_arr = np.asarray(s, dtype=float), np.asarray(i)
+    states = np.asarray(log_rates, dtype=float)
+    shape = np.broadcast_shapes(s_arr.shape, i_arr.shape, states.shape[:-1])
+    cases = zip(np.broadcast_to(s_arr, shape).ravel().tolist(),
+                np.broadcast_to(i_arr, shape).ravel().tolist(),
+                np.broadcast_to(states, shape + states.shape[-1:]).reshape(
+                    -1, *states.shape[-1:]))
+    inputs = [_drift_inputs(sk, ik, zk, setup) for sk, ik, zk in cases]
+    out = np.zeros(len(inputs))
+    live = [k for k, (lam_i, _, _) in enumerate(inputs) if lam_i != 0.0]
+    if live:
+        out[live] = _jump_integrals([inputs[k] for k in live], setup.nig)
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def _jump_integrals(inputs, p) -> np.ndarray:
+    """Compensated jump integrals of the nonzero-loading cases ``inputs``
+    (:func:`_drift_inputs`), one vector quadrature per piece of the line."""
+    width = max(len(lams) for _, _, lams in inputs)
+    # Padding weights and loadings with zeros makes the padded factors
+    # 1 + 0 * expm1(0) = 1.
+    lam_i = np.array([lam for lam, _, _ in inputs])
+    weights = np.zeros((len(inputs), width))
+    lams = np.zeros((len(inputs), width))
+    for k, (_, w, lam) in enumerate(inputs):
+        weights[k, :len(w)] = w
+        lams[k, :len(lam)] = lam
 
     limit_value = (p.delta / np.pi) * lam_i * (
-        0.5 * lam_i + float(np.sum(weights * lams)))
+        0.5 * lam_i + np.sum(weights * lams, axis=1))
 
     # Beyond this point the exponentials overflow while the density's decay
     # (guaranteed by the moment-domain check) has already pushed the true
     # integrand far below the quadrature tolerance; cut it to zero there.
-    lam_total = abs(lam_i) + float(np.sum(np.abs(lams)))
-    x_cap = 600.0 / max(lam_total, 1e-300)
+    lam_total = np.abs(lam_i) + np.sum(np.abs(lams), axis=1)
+    x_cap = 600.0 / np.maximum(lam_total, 1e-300)
 
-    def integrand(x: float) -> float:
-        if abs(x) > x_cap:
-            return 0.0
-        base = np.expm1(lam_i * x)
-        correction = 1.0
-        for w, lam in zip(weights, lams):
-            correction *= 1.0 + w * np.expm1(lam * x)
-        g = (base - lam_i * x) + base * (correction - 1.0)
-        return g * nig_levy_density(x, p)
+    def integrand(x: float) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = np.expm1(lam_i * x)
+            correction = np.prod(1.0 + weights * np.expm1(lams * x), axis=1)
+            g = (base - lam_i * x) + base * (correction - 1.0)
+            return np.where(abs(x) > x_cap, 0.0,
+                            g * nig_levy_density(x, p))
 
     cut = 1e-6
     total = 2.0 * cut * limit_value
@@ -312,8 +344,8 @@ def drift_quadrature(s: float, i: int, log_rates,
             lo, hi = sign * a, sign * b
             if lo > hi:
                 lo, hi = hi, lo
-            val, _ = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11,
-                          limit=300)
+            val, _ = quad_vec(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11,
+                              norm="max", limit=300)
             total += val
     return total
 

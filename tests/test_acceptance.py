@@ -11,7 +11,7 @@ import time
 import pytest
 
 from levylibor import (CapletSpec, Scheme, acceptance, bundled_setup,
-                       price_instruments_mc)
+                       price_instruments_mc, setup_from_dict, setup_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +69,15 @@ def test_criterion_3_scheme_coincidence_bitwise(setup):
 
 def test_criterion_4_drift_route_agreement(setup):
     report(acceptance.criterion_drift_route_agreement(setup))
+
+
+def test_criterion_4_reads_the_loadings_of_each_time(setup):
+    # loadings that change from one accrual interval to the next: the DP
+    # side, one pass per loading vector, must give each case its own
+    raw = setup_to_dict(setup)
+    raw["vols"] = [[round(lv[0] - 0.02 * (j % 2), 2) for j in range(len(lv))]
+                   for lv in raw["vols"]]
+    report(acceptance.criterion_drift_route_agreement(setup_from_dict(raw)))
 
 
 def test_criterion_5_two_stage_implied_vol_accuracy(comparison):

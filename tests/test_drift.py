@@ -63,10 +63,10 @@ class TestLinkWeight:
 class TestDriftRoutes:
     def test_routes_agree_at_initial_state(self, setup, initial_state,
                                            evaluator):
-        for i in (1, 4, 8, 9):
-            a = jump_term(evaluator, 0.25, i, initial_state)
-            b = drift_quadrature(0.25, i, initial_state, setup)
-            assert a == pytest.approx(b, rel=1e-9)
+        rates = np.array([1, 4, 8, 9])
+        a = evaluator.jump_terms(0.25, initial_state[None, :])[0, rates - 1]
+        b = drift_quadrature(0.25, rates, initial_state, setup)
+        np.testing.assert_allclose(a, b, rtol=1e-9)
 
     def test_frozen_regression_rate_8(self, setup, initial_state, evaluator):
         a = jump_term(evaluator, 0.25, 8, initial_state)
@@ -138,6 +138,72 @@ class TestDriftRoutes:
         assert b[1] != 0.0
 
 
+@pytest.fixture(scope="module")
+def mixed_batch(setup):
+    """Cases (s, i, state) mixing general rates, a rate past its fixing
+    (case 1) and the last rate (case 3)."""
+    rng = np.random.default_rng(8)
+    states = setup.log_initial_rates + rng.normal(0.0, 0.5, size=(5, 9))
+    return (np.array([0.25, 1.7, 0.6, 2.2, 3.9]), np.array([1, 2, 4, 9, 8]),
+            states)
+
+
+class TestQuadratureBatch:
+    def test_past_fixing_case_is_exactly_zero(self, setup, mixed_batch):
+        assert drift_quadrature(*mixed_batch, setup)[1] == 0.0
+
+    def test_last_rate_case_is_the_jump_cumulant(self, setup, mixed_batch):
+        s = mixed_batch[0][3]
+        expected = nig_jump_cumulant(setup.vols.vol_at(s, 9), setup.nig)
+        assert drift_quadrature(*mixed_batch, setup)[3] == pytest.approx(
+            expected, rel=1e-10)
+
+    def test_batch_matches_one_case_calls(self, setup, mixed_batch):
+        batch = drift_quadrature(*mixed_batch, setup)
+        assert batch.shape == (5,)
+        for b, s, i, z in zip(batch, *mixed_batch):
+            assert b == pytest.approx(drift_quadrature(s, i, z, setup),
+                                      rel=1e-11)
+
+    def test_shared_state_broadcasts(self, setup, mixed_batch, initial_state):
+        s, i, _ = mixed_batch
+        shared = drift_quadrature(s, i, initial_state, setup)
+        stacked = drift_quadrature(s, i, np.tile(initial_state, (5, 1)),
+                                   setup)
+        assert np.array_equal(shared, stacked)
+
+    def test_scalar_arguments_give_a_float(self, setup, initial_state):
+        assert type(drift_quadrature(0.25, 4, initial_state, setup)) is float
+        assert type(drift_quadrature(1.7, 2, initial_state, setup)) is float
+
+    @pytest.mark.parametrize("bad", [0, 10])
+    def test_bad_rate_index_anywhere_raises(self, setup, mixed_batch, bad):
+        s, i, states = mixed_batch
+        i = i.copy()
+        i[2] = bad
+        with pytest.raises(IndexError, match="outside"):
+            drift_quadrature(s, i, states, setup)
+
+    def test_wrong_length_state_raises(self, setup, mixed_batch):
+        s, i, states = mixed_batch
+        with pytest.raises(ValueError, match="9 log rates"):
+            drift_quadrature(s, i, states[:, :8], setup)
+        with pytest.raises(ValueError, match="9 log rates"):
+            drift_quadrature(s[0], i[0], states[0, :8], setup)
+
+    def test_oracle_is_independent_of_the_dp(self, setup, mixed_batch,
+                                             monkeypatch):
+        expected = drift_quadrature(*mixed_batch, setup)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the oracle reached the lattice DP")
+
+        monkeypatch.setattr(DriftEvaluator, "_jump_pass", boom)
+        monkeypatch.setattr(DriftEvaluator, "_kernel", boom)
+        monkeypatch.setattr("levylibor.drift._absorb", boom)
+        assert np.array_equal(drift_quadrature(*mixed_batch, setup), expected)
+
+
 class TestDriftEvaluator:
     def test_step_drift_matches_pointwise_route(self, setup):
         # the per-step drift is the jump pass at the step's midpoint
@@ -186,7 +252,7 @@ class TestDriftEvaluator:
         # step's midpoint, for every rate
         z = setup.log_initial_rates
         mid = evaluator.mids[0]
-        slow = [-drift_quadrature(mid, i, z, setup) for i in range(1, 10)]
+        slow = -drift_quadrature(mid, np.arange(1, 10), z, setup)
         np.testing.assert_allclose(evaluator.step_drift(0, z[None, :])[0],
                                    slow, rtol=1e-9)
 
@@ -371,10 +437,10 @@ class TestLatticeDp:
         rng = np.random.default_rng(5)
         z = setup.log_initial_rates + rng.normal(0.0, 0.5, size=40)
         for s, rates in ((0.3, (1, 2, 20, 39, 40)), (9.7, (20, 31))):
-            dp = ev.jump_terms(s, z[None, :])[0]
-            for i in rates:
-                assert dp[i - 1] == pytest.approx(
-                    drift_quadrature(s, i, z, setup), rel=1e-9)
+            rates = np.array(rates)
+            dp = ev.jump_terms(s, z[None, :])[0, rates - 1]
+            np.testing.assert_allclose(
+                dp, drift_quadrature(s, rates, z, setup), rtol=1e-9)
 
     def test_off_lattice_setup_is_rejected(self, setup):
         raw = setup_to_dict(setup)
