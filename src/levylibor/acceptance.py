@@ -47,7 +47,8 @@ import numpy as np
 from .driver import SEED_LIMIT, nig_cumulant
 from .market import MarketSetup, bundled_setup, validate_setup
 from .drift import DriftEvaluator, drift_quadrature
-from .simulate import DEFAULT_BATCH, Scheme, SimulationEngine, build_grid
+from .simulate import (DEFAULT_BATCH, DEFAULT_SUBSTEPS, Scheme,
+                       SimulationEngine, build_grid)
 from .pricing import (
     CapletSpec,
     SwaptionSpec,
@@ -63,7 +64,6 @@ from .pricing import (
 )
 
 DEFAULT_SEED = 20020219
-DEFAULT_SUBSTEPS = 4
 
 _FULL_SCALE_COMPARISON_PATHS = 1_000_000
 _FULL_SCALE_SINGLE_PATHS = 100_000
@@ -108,8 +108,8 @@ class CriterionResult:
 
 
 def _whole_paths(engine, scheme, dh):
-    """Log-rate paths (paths, rates, grid points), every grid point kept."""
-    return np.stack(list(engine.states(scheme, dh)), axis=2)
+    """Log-rate paths (paths, grid points, rates), every grid point kept."""
+    return np.stack(list(engine.states(scheme, dh)), axis=1)
 
 
 def build_last_rate_sample(
@@ -211,12 +211,12 @@ def criterion_scheme_coincidence(
         logs = {s: _whole_paths(engine, s, dh) for s in Scheme}
         payoffs = {}
         for s, arr in logs.items():
-            fix = engine.fixings(arr[:, :, grid.tenor_indices[1:]])
+            fix = engine.fixings(arr[:, grid.tenor_indices[1:]])
             payoffs[s] = spec.payoffs(chain_products(fix, setup), fix, setup)
-        ref = logs[Scheme.FULL_SDE][:, last - 1, :]
+        ref = logs[Scheme.FULL_SDE][:, :, last - 1]
         ref_pay = payoffs[Scheme.FULL_SDE]
         for s in (Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR):
-            paths_ok &= bool(np.array_equal(logs[s][:, last - 1, :], ref))
+            paths_ok &= bool(np.array_equal(logs[s][:, :, last - 1], ref))
             prices_ok &= bool(np.array_equal(payoffs[s], ref_pay))
     elapsed = time.perf_counter() - start
     passed = paths_ok and prices_ok
@@ -478,12 +478,12 @@ def _check_single_period_swaption(setup, engine, dh):
 def _check_stage_one_identity(engine, dh):
     frozen = _whole_paths(engine, Scheme.FROZEN_DRIFT, dh)
     taylor = _whole_paths(engine, Scheme.STRONG_TAYLOR, dh)
-    z = taylor[:, :, 0]
-    ok = bool(np.array_equal(z, frozen[:, :, 0]))
+    z = taylor[:, 0]
+    ok = bool(np.array_equal(z, frozen[:, 0]))
     for k, dt in enumerate(engine.dt):
-        b = engine.evaluator.step_drift(k, frozen[:, :, k])
+        b = engine.evaluator.step_drift(k, frozen[:, k])
         z = z + b * dt + dh[:, k, None] * engine.step_vols[k][None, :]
-        ok &= bool(np.array_equal(z, taylor[:, :, k + 1]))
+        ok &= bool(np.array_equal(z, taylor[:, k + 1]))
     return ok, "two-stage recursion with frozen paths as stage one is bit-identical: %s" % ok
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 from . import acceptance
 from .driver import SEED_LIMIT
 from .market import MarketSetup, bundled_setup, load_setup, validate_setup
-from .simulate import Scheme
+from .simulate import DEFAULT_SUBSTEPS, Scheme
 from .pricing import (
     DEFAULT_MONEYNESS,
     DEFAULT_SWAPTION_PAIRS,
@@ -88,8 +88,9 @@ def _add_run(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_seed, default=acceptance.DEFAULT_SEED,
                         metavar="N", help="master seed in [0, 2^64); the random "
                         "stream of each block of paths derives from it")
-    parser.add_argument("--substeps", type=int, default=4, metavar="N",
-                        help="time steps per accrual period (default: 4)")
+    parser.add_argument("--substeps", type=int, default=DEFAULT_SUBSTEPS,
+                        metavar="N", help="time steps per accrual period "
+                        f"(default: {DEFAULT_SUBSTEPS})")
 
 
 def _add_pricing(parser: argparse.ArgumentParser, reference: str) -> None:

@@ -160,20 +160,18 @@ class DriftEvaluator:
         and the segments that absorb it (:func:`_absorb`)."""
         plan = self._plans.get(units)
         if plan is None:
-            # A pattern is the one without its front rate plus one
-            # absorption, so patterns that lose rates share their steps.
-            plan = ((((0, 0),), ()),)
-            for m in range(1, len(units) + 1):
-                known = self._plans.get(units[:m])
-                if known is None:
-                    if m > 1:
-                        support = plan[-1][0]
-                        merged, segments = _absorb(support, units[m - 2])
-                        plan = plan[:-1] + ((support, segments), (merged, ()))
-                    # Race-safe like the kernel memo: equal builds, the
-                    # first one kept.
-                    known = self._plans.setdefault(units[:m], plan)
-                plan = known
+            if len(units) == 1:
+                plan = ((((0, 0),), ()),)
+            else:
+                # A pattern is the one without its front rate plus one
+                # absorption, so patterns that lose rates share their steps.
+                head = self._plan(units[:-1])
+                support = head[-1][0]
+                merged, segments = _absorb(support, units[-2])
+                plan = head[:-1] + ((support, segments), (merged, ()))
+            # Race-safe like the kernel memo: equal builds, the first one
+            # kept.
+            plan = self._plans.setdefault(units, plan)
         return plan
 
     def _jump_pass(self, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -359,12 +357,12 @@ def _drift_inputs(s: float, i: int, log_rates, setup: MarketSetup):
     values = np.asarray(log_rates, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"state must hold {n} log rates, got {values.shape}")
-    lam_i = setup.vols.vol_at(s, i)
+    loadings = setup.vols.loadings(s).tolist()
     weights = []
     lams = []
     for l in range(i + 1, n + 1):
-        lam_l = setup.vols.vol_at(s, l)
+        lam_l = loadings[l - 1]
         if lam_l != 0.0:
             weights.append(link_weight(values[l - 1], setup.tenor.accrual(l)))
             lams.append(lam_l)
-    return lam_i, tuple(weights), tuple(lams)
+    return loadings[i - 1], tuple(weights), tuple(lams)

@@ -69,14 +69,19 @@ class NigParams:
         return math.sqrt((self.alpha - self.beta) * (self.alpha + self.beta))
 
 
-def _check_cumulant_domain(shifted: np.ndarray, p: NigParams, what: str) -> None:
-    bad = np.abs(shifted) > p.alpha
-    if np.any(bad):
+def _nig_core(u, p: NigParams, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``u`` as an array and ``delta*(gamma - sqrt(alpha^2 - (beta + u)^2))``;
+    off the domain, a :class:`CumulantDomainError` that names ``what``."""
+    ua = np.asarray(u, dtype=float)
+    shifted = p.beta + ua
+    if np.any(np.abs(shifted) > p.alpha):
         worst = float(np.max(np.abs(shifted)))
         raise CumulantDomainError(
             f"{what}: |beta + u| = {worst:.17g} exceeds alpha = {p.alpha:.17g}; "
             f"finite exponential moments require |beta + u| <= alpha"
         )
+    radicand = np.maximum((p.alpha - shifted) * (p.alpha + shifted), 0.0)
+    return ua, p.delta * (p.gamma - np.sqrt(radicand))
 
 
 def nig_cumulant(u, p: NigParams):
@@ -90,11 +95,8 @@ def nig_cumulant(u, p: NigParams):
     CumulantDomainError
         If any argument leaves the closed domain.
     """
-    ua = np.asarray(u, dtype=float)
-    shifted = p.beta + ua
-    _check_cumulant_domain(shifted, p, "nig_cumulant")
-    radicand = np.maximum((p.alpha - shifted) * (p.alpha + shifted), 0.0)
-    out = p.mu * ua + p.delta * (p.gamma - np.sqrt(radicand))
+    ua, core = _nig_core(u, p, "nig_cumulant")
+    out = p.mu * ua + core
     return float(out) if ua.ndim == 0 else out
 
 
@@ -106,11 +108,8 @@ def nig_jump_cumulant(u, p: NigParams):
     For the symmetric martingale case (beta = mu = 0) this coincides with
     :func:`nig_cumulant`.  Does not depend on ``mu``.
     """
-    ua = np.asarray(u, dtype=float)
-    shifted = p.beta + ua
-    _check_cumulant_domain(shifted, p, "nig_jump_cumulant")
-    radicand = np.maximum((p.alpha - shifted) * (p.alpha + shifted), 0.0)
-    out = p.delta * (p.gamma - np.sqrt(radicand)) - (p.delta * p.beta / p.gamma) * ua
+    ua, core = _nig_core(u, p, "nig_jump_cumulant")
+    out = core - (p.delta * p.beta / p.gamma) * ua
     return float(out) if ua.ndim == 0 else out
 
 

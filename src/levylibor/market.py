@@ -111,13 +111,6 @@ class VolatilityStructure:
                          else 0.0 for i, lv in enumerate(self.levels, 1)],
                         dtype=float)
 
-    def vol_at(self, s: float, i: int) -> float:
-        """Loading of rate ``i`` at time ``s``: entry ``i`` of
-        :meth:`loadings`."""
-        if not 1 <= i <= self.tenor.n_rates:
-            raise IndexError(f"rate index {i} outside 1..{self.tenor.n_rates}")
-        return float(self.loadings(s)[i - 1])
-
     @property
     def per_rate_sup(self) -> tuple[float, ...]:
         """Sup over time of the absolute loading, one per rate."""

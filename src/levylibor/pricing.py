@@ -23,7 +23,8 @@ from scipy.stats import norminvgauss
 
 from .driver import nig_jump_cumulant
 from .market import MarketSetup
-from .simulate import DEFAULT_BATCH, Scheme, SimulationEngine, build_grid
+from .simulate import (DEFAULT_BATCH, DEFAULT_SUBSTEPS, Scheme,
+                       SimulationEngine, build_grid)
 
 DEFAULT_MONEYNESS = (0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3)
 DEFAULT_SWAPTION_PAIRS = ((2, 4), (2, 5), (2, 6), (2, 7),
@@ -143,16 +144,16 @@ def _check_swap_dates(setup: MarketSetup, expiry_index: int,
 def chain_products(fixings: np.ndarray, setup: MarketSetup) -> np.ndarray:
     """Chain products G[:, i-1, k] = prod_(l=k..N) (1 + delta_l L(T_i, T_l)).
 
-    ``fixings`` has the engine's layout (paths, rates, rates).  Shape
-    (paths, rates, N + 2); index k runs 1..N+1 with the empty product at
-    k = N+1.  Entries with k <= i-1 read below-diagonal fixings and are
-    meaningless (nan).  One array serves every instrument of a batch."""
-    accruals = setup.tenor.accruals[1:]
+    ``fixings`` has the engine's layout (paths, time, rate).  Shape
+    (paths, N, N + 2); index k runs 1..N+1 with the empty product at
+    k = N+1.  Entries with k <= i-1 multiply in the fixings of rates
+    already fixed; no payoff reads them.  One array serves every instrument
+    of a batch."""
     paths, n, _ = fixings.shape
     out = np.ones((paths, n, n + 2))
-    for k in range(n, 0, -1):
-        out[:, :, k] = out[:, :, k + 1] * (1.0 + accruals[k - 1]
-                                           * fixings[:, :, k - 1])
+    # Multiplied from k = N down, in the order a loop over k would use.
+    np.cumprod((1.0 + setup.tenor.accruals[1:] * fixings)[:, :, ::-1],
+               axis=2, out=out[:, :, n:0:-1])
     return out
 
 
@@ -365,7 +366,8 @@ class _Accumulator:
 def price_instruments_mc(setup: MarketSetup,
                          instruments: Sequence[CapletSpec | SwaptionSpec],
                          schemes: Sequence[Scheme],
-                         n_paths: int, seed: int, substeps: int = 4
+                         n_paths: int, seed: int,
+                         substeps: int = DEFAULT_SUBSTEPS
                          ) -> dict[Scheme, list[McEstimate]]:
     """Price many instruments under several schemes on shared increments.
 
@@ -551,7 +553,7 @@ def write_iv_surface(table: ComparisonTable, scheme: Scheme, file) -> None:
 
 
 def compare_schemes(setup: MarketSetup, n_paths: int, seed: int,
-                    substeps: int = 4,
+                    substeps: int = DEFAULT_SUBSTEPS,
                     moneyness: Sequence[float] = DEFAULT_MONEYNESS,
                     schemes: Sequence[Scheme] = (Scheme.FULL_SDE,
                                                  Scheme.FROZEN_DRIFT,

@@ -19,7 +19,8 @@ scheme, bit for bit; under ``STRONG_TAYLOR`` so is rate N-1, whose drift
 reads only rate N.  Loadings appearing in a step are the ones in force on
 the open interval (read at the midpoint), so a rate stays exactly constant
 from its fixing date on.  Pricing reads only the tenor dates, so
-:meth:`SimulationEngine.evolve` keeps only the states at T_1..T_N.
+:meth:`SimulationEngine.evolve` keeps only the states at T_1..T_N.  Every
+path and fixing array has the axis order (paths, time, rate).
 
 Driver increments are drawn a block of ``RNG_BLOCK`` consecutive paths at a
 time: path ``j`` at seed ``s`` is row ``j % RNG_BLOCK`` of the block
@@ -44,6 +45,8 @@ from .market import MarketSetup, TenorStructure
 # on its batch, but estimators sum batch by batch, so changing this moves
 # prices in the last bits.
 DEFAULT_BATCH = 4096
+# Time steps per accrual interval of every simulating entry point.
+DEFAULT_SUBSTEPS = 4
 # Paths per random stream; fixed, so no batch size can move a path's draws.
 RNG_BLOCK = 1024
 
@@ -174,25 +177,23 @@ class SimulationEngine:
 
     def evolve(self, scheme: Scheme, dh: np.ndarray) -> np.ndarray:
         """Log-rate states at the fixing dates T_1..T_N, shape
-        (paths, rates, N); column ``i - 1`` holds every rate at ``T_i``."""
-        n = self.n_rates
-        out = np.empty((dh.shape[0], n, n))
-        column = {int(k): i for i, k in enumerate(self.grid.tenor_indices[1:])}
+        (paths, N, rates); row ``i - 1`` holds every rate at ``T_i``."""
+        out = np.empty((dh.shape[0], self.n_rates, self.n_rates))
+        row = {int(k): i for i, k in enumerate(self.grid.tenor_indices[1:])}
         for k, z in enumerate(self.states(scheme, dh)):
-            if k in column:
-                out[:, :, column[k]] = z
+            if k in row:
+                out[:, row[k]] = z
         return out
 
     # -- derived quantities --------------------------------------------------
 
     def fixings(self, log_fix: np.ndarray) -> np.ndarray:
-        """Tenor-date fixings L(T_i, T_l), nan below the diagonal."""
-        paths, n, _ = log_fix.shape
-        out = np.full((paths, n, n), np.nan)
+        """Tenor-date fixings L(T_i, T_l), same layout as ``log_fix``.
+
+        A rate is constant from its fixing date on, so below the diagonal
+        (l < i) each rate repeats its own fixing L(T_l, T_l)."""
         with np.errstate(over="ignore"):
-            for i in range(n):
-                out[:, i, i:] = np.exp(log_fix[:, i:, i])
-        return out
+            return np.exp(log_fix)
 
     def valid_mask(self, log_fix: np.ndarray,
                    fixings: np.ndarray) -> np.ndarray:
@@ -203,7 +204,5 @@ class SimulationEngine:
         state, so a non-finite log rate stays non-finite to the last grid
         point (a rate at -inf fails even though its fixing, 0, is finite).
         """
-        ok = np.isfinite(log_fix[:, :, -1]).all(axis=1)
-        for i in range(self.n_rates):
-            ok &= np.isfinite(fixings[:, i, i:]).all(axis=1)
-        return ok
+        return (np.isfinite(log_fix[:, -1, :]).all(axis=1)
+                & np.isfinite(fixings).all(axis=(1, 2)))

@@ -79,7 +79,7 @@ class TestDriftRoutes:
         # no rates after the last one: J collapses to the jump cumulant of
         # its own loading, whatever the state
         p = setup.nig
-        lam = setup.vols.vol_at(0.25, 9)
+        lam = setup.vols.loadings(0.25)[8]
         expected = nig_jump_cumulant(lam, p)
         assert jump_term(evaluator, 0.25, 9, initial_state) == expected
         shifted = setup.log_initial_rates + 2.0
@@ -90,7 +90,7 @@ class TestDriftRoutes:
                                                        evaluator):
         # b = -J, and J of the last rate is kappa(lam)
         p = setup.nig
-        lam = setup.vols.vol_at(0.25, 9)
+        lam = setup.vols.loadings(0.25)[8]
         assert evaluator.step_drift(0, initial_state[None, :])[0, 8] == \
             -nig_jump_cumulant(lam, p)
 
@@ -98,7 +98,7 @@ class TestDriftRoutes:
                                                     initial_state):
         # int (e^(lam x) - 1 - lam x) F(dx) recovers the jump cumulant
         p = setup.nig
-        lam = setup.vols.vol_at(0.25, 9)
+        lam = setup.vols.loadings(0.25)[8]
         assert drift_quadrature(0.25, 9, initial_state, setup) == \
             pytest.approx(nig_jump_cumulant(lam, p), rel=1e-10)
 
@@ -107,7 +107,7 @@ class TestDriftRoutes:
         # to the jump cumulant of the rate's own loading, exactly
         dead = np.full(9, -np.inf)
         p = setup.nig
-        lam = setup.vols.vol_at(0.25, 3)
+        lam = setup.vols.loadings(0.25)[2]
         assert jump_term(evaluator, 0.25, 3, dead) == \
             nig_jump_cumulant(lam, p)
 
@@ -154,7 +154,7 @@ class TestQuadratureBatch:
 
     def test_last_rate_case_is_the_jump_cumulant(self, setup, mixed_batch):
         s = mixed_batch[0][3]
-        expected = nig_jump_cumulant(setup.vols.vol_at(s, 9), setup.nig)
+        expected = nig_jump_cumulant(setup.vols.loadings(s)[8], setup.nig)
         assert drift_quadrature(*mixed_batch, setup)[3] == pytest.approx(
             expected, rel=1e-10)
 
@@ -219,8 +219,8 @@ class TestDriftEvaluator:
 
     def test_step_vols_are_the_midpoint_loadings(self, setup):
         ev = DriftEvaluator(setup, build_grid(setup.tenor, 3))
-        expected = np.array([[setup.vols.vol_at(t, i) for i in range(1, 10)]
-                             for t in ev.mids])
+        expected = np.array([[setup.vols.loadings(t)[i - 1]
+                              for i in range(1, 10)] for t in ev.mids])
         assert np.array_equal(ev.step_vols, expected)
 
     def test_frozen_table_rows_are_initial_state_drifts(self, setup):
@@ -244,7 +244,7 @@ class TestDriftEvaluator:
         grid = build_grid(setup.tenor, 2)
         table = DriftEvaluator(setup, grid).frozen_table()
         p = setup.nig
-        expected = -nig_jump_cumulant(setup.vols.vol_at(0.0, 9), p)
+        expected = -nig_jump_cumulant(setup.vols.loadings(0.0)[8], p)
         assert np.all(table[:, 8] == expected)
 
     def test_quadrature_method_evaluator(self, setup, evaluator):
@@ -261,10 +261,11 @@ def brute_force_jump_term(setup, s, i, state):
     """J of rate ``i`` as E[kappa(lam_i + Lam) - kappa(Lam)], enumerating
     all 2^m outcomes of the Bernoulli variables of the m live later rates."""
     p = setup.nig
-    lam_i = setup.vols.vol_at(s, i)
+    loadings = setup.vols.loadings(s)
+    lam_i = loadings[i - 1]
     if lam_i == 0.0:
         return 0.0
-    later = [(setup.vols.vol_at(s, l),
+    later = [(loadings[l - 1],
               link_weight(state[l - 1], setup.tenor.accrual(l)))
              for l in range(i + 1, setup.n_rates + 1)]
     later = [(lam, u) for lam, u in later if lam != 0.0]

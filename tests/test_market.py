@@ -95,14 +95,14 @@ class TestVolatilityStructure:
         vols = setup.vols
         # constant-in-time loadings: any time before the fixing sees the
         # level, anything after it sees zero
-        assert vols.vol_at(0.0, 1) == 0.20
-        assert vols.vol_at(0.49, 1) == 0.20
-        assert vols.vol_at(0.5, 1) == 0.20  # closed at the fixing date
-        assert vols.vol_at(0.51, 1) == 0.0
-        assert vols.vol_at(1.0, 1) == 0.0
-        assert vols.vol_at(3.0, 9) == 0.12
-        assert vols.vol_at(4.4, 9) == 0.12
-        assert vols.vol_at(4.51, 9) == 0.0
+        assert vols.loadings(0.0)[0] == 0.20
+        assert vols.loadings(0.49)[0] == 0.20
+        assert vols.loadings(0.5)[0] == 0.20  # closed at the fixing date
+        assert vols.loadings(0.51)[0] == 0.0
+        assert vols.loadings(1.0)[0] == 0.0
+        assert vols.loadings(3.0)[8] == 0.12
+        assert vols.loadings(4.4)[8] == 0.12
+        assert vols.loadings(4.51)[8] == 0.0
 
     @staticmethod
     def _scalar_rule(vols, s, i):
@@ -128,8 +128,6 @@ class TestVolatilityStructure:
                             for i in range(1, n + 1)]
                 assert got.shape == (n,)
                 assert got.tolist() == expected
-                assert [vols.vol_at(s, i) for i in range(1, n + 1)] == \
-                    expected
         assert stepped.loadings(0.5).tolist() == [0.1, 0.3, 0.5]
         assert stepped.loadings(1.5).tolist() == [0.0, 0.0, 0.6]
 
@@ -137,12 +135,6 @@ class TestVolatilityStructure:
         sups = setup.vols.per_rate_sup
         assert sups[0] == 0.20 and sups[-1] == 0.12
         assert len(sups) == 9
-
-    def test_rate_index_bounds(self, setup):
-        with pytest.raises(IndexError):
-            setup.vols.vol_at(0.1, 0)
-        with pytest.raises(IndexError):
-            setup.vols.vol_at(0.1, 10)
 
     def test_flat_per_rate_length_check(self):
         tenor = regular_tenor(3, 0.5)

@@ -15,10 +15,12 @@ from levylibor import (
     CapletSpec,
     ImpliedVolError,
     Scheme,
+    SimulationEngine,
     SwaptionSpec,
     black76_implied_vol,
     black76_implied_vols,
     black76_price,
+    build_grid,
     bundled_setup,
     caplet_price_last_rate,
     chain_products,
@@ -359,10 +361,38 @@ class TestMonteCarloEstimators:
         # all rates at zero: the floating leg pays nothing, so a payer
         # swaption has no value at any positive strike
         fix = np.zeros((1, 9, 9))
-        fix[0][np.tril_indices(9, k=-1)] = np.nan
         payoff = SwaptionSpec(2, 5, 0.05).payoffs(chain_products(fix, setup),
                                                   fix, setup)
         assert payoff.tolist() == [0.0]
+
+
+class TestChainProducts:
+    @staticmethod
+    def _loop(fixings, setup):
+        # reference: one multiplication per k, from k = N down
+        accruals = setup.tenor.accruals[1:]
+        paths, n, _ = fixings.shape
+        out = np.ones((paths, n, n + 2))
+        for k in range(n, 0, -1):
+            out[:, :, k] = out[:, :, k + 1] * (1.0 + accruals[k - 1]
+                                               * fixings[:, :, k - 1])
+        return out
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_matches_the_per_rate_loop_bitwise(self, setup, scheme):
+        engine = SimulationEngine(setup, build_grid(setup.tenor, 4))
+        dh = engine.path_increments(5, 0, 8)
+        dh[3, 12] = np.inf
+        with np.errstate(all="ignore"):
+            log_fix = engine.evolve(scheme, dh)
+            fix = engine.fixings(log_fix)
+            valid = engine.valid_mask(log_fix, fix)
+            got = chain_products(fix, setup)
+            expected = self._loop(fix, setup)
+        assert valid.tolist() == [True] * 3 + [False] + [True] * 4
+        assert not np.isfinite(got[3]).all()
+        # bit patterns, so nan entries and signed zeros count too
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestCompareSchemes:

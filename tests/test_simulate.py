@@ -123,8 +123,8 @@ class TestIncrements:
 
 
 def whole_paths(engine, scheme, dh):
-    """Log-rate paths (paths, rates, grid points), every grid point kept."""
-    return np.stack(list(engine.states(scheme, dh)), axis=2)
+    """Log-rate paths (paths, grid points, rates), every grid point kept."""
+    return np.stack(list(engine.states(scheme, dh)), axis=1)
 
 
 class TestSchemes:
@@ -132,8 +132,8 @@ class TestSchemes:
         dh = engine.path_increments(21, 0, 64)
         paths = {s: whole_paths(engine, s, dh) for s in Scheme}
         for s in (Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR):
-            assert np.array_equal(paths[s][:, 8, :],
-                                  paths[Scheme.FULL_SDE][:, 8, :])
+            assert np.array_equal(paths[s][:, :, 8],
+                                  paths[Scheme.FULL_SDE][:, :, 8])
 
     @pytest.mark.parametrize("substeps", [1, 4])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -145,26 +145,26 @@ class TestSchemes:
         dh = eng.path_increments(seed, 0, 256)
         full = whole_paths(eng, Scheme.FULL_SDE, dh)
         taylor = whole_paths(eng, Scheme.STRONG_TAYLOR, dh)
-        assert np.array_equal(taylor[:, 7, :], full[:, 7, :])
-        assert not np.array_equal(taylor[:, 6, :], full[:, 6, :])
+        assert np.array_equal(taylor[:, :, 7], full[:, :, 7])
+        assert not np.array_equal(taylor[:, :, 6], full[:, :, 6])
 
     def test_stage_one_is_the_frozen_path(self, engine):
         # rebuild every two-stage step from the drift at the frozen path
         dh = engine.path_increments(21, 0, 32)
         frozen = whole_paths(engine, Scheme.FROZEN_DRIFT, dh)
         taylor = whole_paths(engine, Scheme.STRONG_TAYLOR, dh)
-        z = frozen[:, :, 0]
-        assert np.array_equal(taylor[:, :, 0], z)
+        z = frozen[:, 0]
+        assert np.array_equal(taylor[:, 0], z)
         for k, dt in enumerate(engine.dt):
-            b = engine.evaluator.step_drift(k, frozen[:, :, k])
+            b = engine.evaluator.step_drift(k, frozen[:, k])
             z = z + b * dt + dh[:, k, None] * engine.step_vols[k][None, :]
-            assert np.array_equal(taylor[:, :, k + 1], z)
+            assert np.array_equal(taylor[:, k + 1], z)
 
     def test_first_step_identical_across_schemes(self, engine):
         # all schemes read the same state at time zero, so the first grid
         # step must agree bitwise for every rate
         dh = engine.path_increments(21, 0, 16)
-        res = [whole_paths(engine, s, dh)[:, :, 1] for s in Scheme]
+        res = [whole_paths(engine, s, dh)[:, 1] for s in Scheme]
         assert np.array_equal(res[0], res[1])
         assert np.array_equal(res[1], res[2])
 
@@ -177,7 +177,7 @@ class TestSchemes:
         dt = grid.times[1] - grid.times[0]
         lam = engine.step_vols[0]
         expected = z0 + b * dt + dh[:, 0, None] * lam[None, :]
-        assert np.array_equal(full[:, :, 1], expected)
+        assert np.array_equal(full[:, 1], expected)
 
     def test_states_are_fresh_arrays(self, engine):
         dh = engine.path_increments(21, 0, 4)
@@ -193,7 +193,7 @@ class TestSchemes:
             paths = whole_paths(engine, scheme, dh)
             for i in (1, 5, 9):
                 k = grid.tenor_indices[i]
-                tail = paths[:, i - 1, k:]
+                tail = paths[:, k:, i - 1]
                 assert np.all(tail == tail[:, :1])
 
     def test_fixings_matrix_layout(self, engine, grid):
@@ -202,20 +202,23 @@ class TestSchemes:
             log_fix = engine.evolve(scheme, dh)
             paths = whole_paths(engine, scheme, dh)
             assert log_fix.shape == (4, 9, 9)
-            assert np.array_equal(log_fix,
-                                  paths[:, :, grid.tenor_indices[1:]])
-        fix = engine.fixings(log_fix)
-        assert fix.shape == (4, 9, 9)
-        assert np.all(np.isnan(fix[:, 3, :3]))
-        k = grid.tenor_indices[4]
-        assert np.array_equal(fix[:, 3, 3:], np.exp(paths[:, 3:, k]))
-        assert np.all(engine.valid_mask(log_fix, fix))
+            assert np.array_equal(log_fix, paths[:, grid.tenor_indices[1:]])
+            fix = engine.fixings(log_fix)
+            assert fix.shape == (4, 9, 9)
+            k = grid.tenor_indices[4]
+            assert np.array_equal(fix[:, 3], np.exp(paths[:, k]))
+            # a rate is constant from its fixing date on, so below the
+            # diagonal it repeats its own fixing
+            for i in range(9):
+                for l in range(i):
+                    assert np.array_equal(fix[:, i, l], fix[:, l, l])
+            assert np.all(engine.valid_mask(log_fix, fix))
 
     def test_initial_column_is_the_curve(self, setup, engine):
         dh = engine.path_increments(33, 0, 8)
         for scheme in Scheme:
             paths = whole_paths(engine, scheme, dh)
-            assert np.array_equal(paths[:, :, 0],
+            assert np.array_equal(paths[:, 0],
                                   np.broadcast_to(setup.log_initial_rates,
                                                   (8, 9)))
 
@@ -230,7 +233,7 @@ class TestSchemes:
         dh = eng.path_increments(5, 0, 8)
         for scheme in Scheme:
             paths = whole_paths(eng, scheme, dh)
-            assert np.all(paths == quiet.log_initial_rates[None, :, None])
+            assert np.all(paths == quiet.log_initial_rates[None, None, :])
 
     def test_frozen_scheme_exponential_moment(self, setup, engine, grid):
         # subtracting the deterministic drift from a frozen-drift log rate
@@ -245,7 +248,7 @@ class TestSchemes:
         resid = (log_fix[:, i - 1, i - 1] - setup.log_initial_rates[i - 1]
                  - (table * dt).sum())
         y = np.exp(resid)
-        lam = setup.vols.vol_at(0.0, i)
+        lam = setup.vols.loadings(0.0)[i - 1]
         target = np.exp(nig_cumulant(lam, setup.nig)
                         * setup.tenor.date(i))
         assert abs(y.mean() - target) <= 3.0 * y.std(ddof=1) / np.sqrt(n)
@@ -266,10 +269,9 @@ class TestEnsembleApi:
 
     def test_path_bundle_fields_and_determinism(self, engine, grid):
         logs, fix = self._simulate(engine, Scheme.FULL_SDE, 5, 9, 4096)
-        assert logs.shape == (5, 9, grid.n_steps + 1)
+        assert logs.shape == (5, grid.n_steps + 1, 9)
         assert fix.shape == (5, 9, 9)
-        assert engine.valid_mask(logs[:, :, grid.tenor_indices[1:]],
-                                 fix).all()
+        assert engine.valid_mask(logs[:, grid.tenor_indices[1:]], fix).all()
         again, _ = self._simulate(engine, Scheme.FULL_SDE, 5, 9, 4096)
         assert np.array_equal(logs, again)
 
@@ -277,7 +279,7 @@ class TestEnsembleApi:
         small = self._simulate(engine, Scheme.STRONG_TAYLOR, 7, 9, 2)
         big = self._simulate(engine, Scheme.STRONG_TAYLOR, 7, 9, 100)
         assert np.array_equal(small[0], big[0])
-        assert np.array_equal(small[1], big[1], equal_nan=True)
+        assert np.array_equal(small[1], big[1])
 
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("scheme", [Scheme.FULL_SDE,
@@ -291,7 +293,7 @@ class TestEnsembleApi:
         for batch_size in (1, 2, 3):
             logs, fix = self._simulate(engine, scheme, 9, seed, batch_size)
             assert np.array_equal(logs, ref[0])
-            assert np.array_equal(fix, ref[1], equal_nan=True)
+            assert np.array_equal(fix, ref[1])
 
     def test_single_path_matches_ensemble(self, engine):
         logs, fix = self._simulate(engine, Scheme.FROZEN_DRIFT, 3, 9, 4096)
@@ -300,7 +302,7 @@ class TestEnsembleApi:
         assert np.array_equal(alone[0], logs[2])
         assert np.array_equal(
             engine.fixings(engine.evolve(Scheme.FROZEN_DRIFT, dh))[0],
-            fix[2], equal_nan=True)
+            fix[2])
 
 
 class TestOverflowHandling:
@@ -350,7 +352,7 @@ class TestOverflowHandling:
             oracle = np.isfinite(paths).all(axis=(1, 2))
             for i in range(1, 10):
                 k = grid.tenor_indices[i]
-                oracle &= np.isfinite(np.exp(paths[:, i - 1:, k])).all(axis=1)
+                oracle &= np.isfinite(np.exp(paths[:, k, i - 1:])).all(axis=1)
         assert np.array_equal(mask, oracle)
         assert list(mask[:5]) == [True, False, False, False, False]
         # a rate sent to -inf fixes at 0, which is finite, yet the path
