@@ -190,8 +190,9 @@ class SimulationEngine:
     def fixings(self, log_fix: np.ndarray) -> np.ndarray:
         """Tenor-date fixings L(T_i, T_l), same layout as ``log_fix``.
 
-        A rate is constant from its fixing date on, so below the diagonal
-        (l < i) each rate repeats its own fixing L(T_l, T_l)."""
+        A rate is constant from its fixing date on, so on a valid path,
+        below the diagonal (l < i) each rate repeats its own fixing
+        L(T_l, T_l)."""
         with np.errstate(over="ignore"):
             return np.exp(log_fix)
 

@@ -359,8 +359,10 @@ class TestMonteCarloEstimators:
 
     def test_zero_rate_swaption_is_worthless(self, setup):
         # all rates at zero: the floating leg pays nothing, so a payer
-        # swaption has no value at any positive strike
+        # swaption has no value at any positive strike; nan below the
+        # diagonal makes a payoff that reads a fixed rate's row come out nan
         fix = np.zeros((1, 9, 9))
+        fix[0][np.tril_indices(9, k=-1)] = np.nan
         payoff = SwaptionSpec(2, 5, 0.05).payoffs(chain_products(fix, setup),
                                                   fix, setup)
         assert payoff.tolist() == [0.0]
