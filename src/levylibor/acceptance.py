@@ -107,9 +107,13 @@ class CriterionResult:
         return [self.summary_line()] + ["    " + d for d in self.details]
 
 
-def _whole_paths(engine, scheme, dh):
-    """Log-rate paths (paths, grid points, rates), every grid point kept."""
-    return np.stack(list(engine.states(scheme, dh)), axis=1)
+def _whole_paths(engine, schemes, dh):
+    """Log-rate paths (paths, grid points, rates) per scheme."""
+    out = {s: np.empty((len(dh), engine.grid.n_steps + 1, engine.n_rates)) for s in schemes}
+    for k, zs in enumerate(engine.states(schemes, dh)):
+        for s, z in zs.items():
+            out[s][:, k] = z
+    return out
 
 
 def build_last_rate_sample(
@@ -208,7 +212,7 @@ def criterion_scheme_coincidence(
     for offset in range(3):
         # Consecutive seeds, wrapping at 2^64 so every valid seed runs.
         dh = engine.path_increments((seed + offset) % SEED_LIMIT, 0, 2048)
-        logs = {s: _whole_paths(engine, s, dh) for s in Scheme}
+        logs = _whole_paths(engine, list(Scheme), dh)
         payoffs = {}
         for s, arr in logs.items():
             fix = engine.fixings(arr[:, grid.tenor_indices[1:]])
@@ -464,7 +468,7 @@ def _check_black76_round_trip():
 
 
 def _check_single_period_swaption(setup, engine, dh):
-    fix = engine.fixings(engine.evolve(Scheme.FULL_SDE, dh))
+    fix = engine.fixings(engine.log_fixings([Scheme.FULL_SDE], dh)[Scheme.FULL_SDE])
     products = chain_products(fix, setup)
     worst = 0.0
     for i in (2, 5, 8):
@@ -476,8 +480,7 @@ def _check_single_period_swaption(setup, engine, dh):
 
 
 def _check_stage_one_identity(engine, dh):
-    frozen = _whole_paths(engine, Scheme.FROZEN_DRIFT, dh)
-    taylor = _whole_paths(engine, Scheme.STRONG_TAYLOR, dh)
+    frozen, taylor = _whole_paths(engine, [Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR], dh).values()
     z = taylor[:, 0]
     ok = bool(np.array_equal(z, frozen[:, 0]))
     for k, dt in enumerate(engine.dt):
@@ -548,7 +551,7 @@ def _check_grid_refinement(setup, seed, n_paths, substeps):
             (engine_coarse, dh_coarse, pay_coarse),
             (engine_fine, dh_fine, pay_fine),
         ):
-            fix = engine.fixings(engine.evolve(Scheme.FULL_SDE, dh))
+            fix = engine.fixings(engine.log_fixings([Scheme.FULL_SDE], dh)[Scheme.FULL_SDE])
             sink.append(spec.payoffs(chain_products(fix, setup), fix, setup))
     coarse_pay = np.concatenate(pay_coarse)
     fine_pay = np.concatenate(pay_fine)

@@ -119,7 +119,6 @@ class DriftEvaluator:
         times = grid.times
         if times.size < 2 or np.any(np.diff(times) <= 0.0):
             raise ValueError("grid times must be strictly increasing")
-        self.times = times
         self.dt = np.diff(times)
         mids = 0.5 * (times[:-1] + times[1:])
         self.mids = mids

@@ -244,13 +244,6 @@ class SetupValidationReport:
             out.append(f"[{tag}] {item.name}: {item.detail}")
         return out
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "items": [{"name": i.name, "passed": i.passed, "detail": i.detail}
-                      for i in self.items],
-        }
-
 
 def validate_setup(setup: MarketSetup) -> SetupValidationReport:
     """Run every economic admissibility check; never throws on bad data."""

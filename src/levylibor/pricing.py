@@ -404,8 +404,7 @@ def price_instruments_mc(setup: MarketSetup,
     # batch allocates its own.
     def add_batch(start: int, count: int) -> None:
         dh = engine.path_increments(seed, start, count)
-        for scheme in schemes:
-            log_fix = engine.evolve(scheme, dh)
+        for scheme, log_fix in engine.log_fixings(schemes, dh).items():
             fix = engine.fixings(log_fix)
             valid = engine.valid_mask(log_fix, fix)
             products = chain_products(fix, setup)

@@ -2,25 +2,24 @@
 
 Three schemes integrate the same log-rate equation
 
-    z_i(t_(k+1)) = z_i(t_k) + b(t_k, T_i; state) dt_k + lam_i(t_k) dH_k :
+    z_i(t_(k+1)) = z_i(t_k) + b(t_k, T_i; state) dt_k + lam_i(t_k) dH_k
 
-* ``FULL_SDE``     reads the drift from the simulated state at the left grid
-                   point (joint Euler recursion over all rates),
-* ``FROZEN_DRIFT`` reads it from the initial state (drift deterministic),
-* ``STRONG_TAYLOR`` reads it from the deterministic-drift (stage-one)
-                   state, advanced in the same loop on the same increments.
+and differ only in the state the drift is read from (:data:`DRIFT_SOURCE`):
+``FROZEN_DRIFT`` reads the initial curve (the drift's zeroth-order
+expansion), ``STRONG_TAYLOR`` the frozen state (its first-order expansion)
+and ``FULL_SDE`` its own state (the exact recursion).
 
-All three are one recursion, :meth:`SimulationEngine.states`, on one batch
-engine; they read their drift from its single
-:class:`~levylibor.drift.DriftEvaluator` and consume identical driver
-increments, so runs at the same seed are coupled pathwise.  The last rate
-has a state-free drift and is produced by the same arithmetic in every
-scheme, bit for bit; under ``STRONG_TAYLOR`` so is rate N-1, whose drift
-reads only rate N.  Loadings appearing in a step are the ones in force on
-the open interval (read at the midpoint), so a rate stays exactly constant
-from its fixing date on.  Pricing reads only the tenor dates, so
-:meth:`SimulationEngine.evolve` keeps only the states at T_1..T_N.  Every
-path and fixing array has the axis order (paths, time, rate).
+:meth:`SimulationEngine.states` advances every requested scheme in one loop
+over the time steps on one batch of driver increments, so runs at the same
+seed are coupled pathwise.  The noise term is computed once a step and the
+frozen state advanced once, however many schemes read it; each scheme's
+states are bitwise those it has when run alone.  The last rate has a
+state-free drift and is bitwise equal in every scheme; under
+``STRONG_TAYLOR`` so is rate N-1, whose drift reads only rate N.  Loadings
+appearing in a step are the ones in force on the open interval (read at
+the midpoint), so a rate stays exactly constant from its fixing date on.
+Pricing reads only the tenor dates, from :meth:`SimulationEngine.log_fixings`.
+Every path and fixing array has the axis order (paths, time, rate).
 
 Driver increments are drawn a block of ``RNG_BLOCK`` consecutive paths at a
 time: path ``j`` at seed ``s`` is row ``j % RNG_BLOCK`` of the block
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -63,6 +62,11 @@ class Scheme(Enum):
                 return s
         raise ValueError(f"unknown scheme {text!r}; "
                          f"choose from {[s.value for s in cls]}")
+
+
+# The state each scheme's drift reads; ``None`` reads ``frozen_table``.
+DRIFT_SOURCE = {Scheme.FULL_SDE: Scheme.FULL_SDE, Scheme.FROZEN_DRIFT: None,
+                Scheme.STRONG_TAYLOR: Scheme.FROZEN_DRIFT}
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,6 @@ class SimulationEngine:
         self.frozen_table = self.evaluator.frozen_table()
         self.dt = self.evaluator.dt
         self.step_vols = self.evaluator.step_vols
-        self.z0 = np.asarray(setup.log_initial_rates, dtype=float)
         self.n_rates = setup.n_rates
 
     # -- driver increments -------------------------------------------------
@@ -152,37 +155,40 @@ class SimulationEngine:
 
     # -- log-rate recursion -------------------------------------------------
 
-    def states(self, scheme: Scheme, dh: np.ndarray) -> Iterator[np.ndarray]:
-        """Log-rate states (paths, rates) at grid points 0..n_steps.
-
-        Yields a fresh array per grid point.  ``FULL_SDE`` reads its drift
-        from the state itself, ``FROZEN_DRIFT`` from ``frozen_table`` and
-        ``STRONG_TAYLOR`` from the stage-one (frozen-drift) state, which it
-        advances in the same loop on the same increments.
-        """
-        z = np.repeat(self.z0[None, :], dh.shape[0], axis=0)
-        stage_one = z
-        yield z
+    def states(self, schemes: Sequence[Scheme],
+               dh: np.ndarray) -> Iterator[dict[Scheme, np.ndarray]]:
+        """Log-rate states (paths, rates) per scheme at grid points
+        0..n_steps, fresh arrays after point 0.  The states the drifts read
+        are advanced alongside, each once; every drift is read before any
+        state moves."""
+        needed = set(schemes) | {DRIFT_SOURCE[s] for s in schemes}
+        run = [s for s in Scheme if s in needed]
+        z = dict.fromkeys(run, np.repeat(self.setup.log_initial_rates[None, :],
+                                         dh.shape[0], axis=0))
+        yield {s: z[s] for s in schemes}
         for k, dt in enumerate(self.dt):
             noise = dh[:, k, None] * self.step_vols[k][None, :]
-            if scheme is Scheme.FROZEN_DRIFT:
-                b = self.frozen_table[k]
-            elif scheme is Scheme.FULL_SDE:
-                b = self.evaluator.step_drift(k, z)
-            else:
-                b = self.evaluator.step_drift(k, stage_one)
-                stage_one = stage_one + self.frozen_table[k] * dt + noise
-            z = z + b * dt + noise
-            yield z
+            b = {s: self._drift(k, z, s) for s in run}
+            z = {s: z[s] + b[s] * dt + noise for s in run}
+            yield {s: z[s] for s in schemes}
 
-    def evolve(self, scheme: Scheme, dh: np.ndarray) -> np.ndarray:
-        """Log-rate states at the fixing dates T_1..T_N, shape
+    def _drift(self, k: int, z: dict, scheme: Scheme) -> np.ndarray:
+        """Step ``k``'s drift of ``scheme``, read from the states ``z``."""
+        source = DRIFT_SOURCE[scheme]
+        return (self.frozen_table[k] if source is None
+                else self.evaluator.step_drift(k, z[source]))
+
+    def log_fixings(self, schemes: Sequence[Scheme],
+                    dh: np.ndarray) -> dict[Scheme, np.ndarray]:
+        """Log-rate states at the fixing dates T_1..T_N per scheme, each
         (paths, N, rates); row ``i - 1`` holds every rate at ``T_i``."""
-        out = np.empty((dh.shape[0], self.n_rates, self.n_rates))
+        out = {s: np.empty((dh.shape[0], self.n_rates, self.n_rates))
+               for s in schemes}
         row = {int(k): i for i, k in enumerate(self.grid.tenor_indices[1:])}
-        for k, z in enumerate(self.states(scheme, dh)):
+        for k, zs in enumerate(self.states(schemes, dh)):
             if k in row:
-                out[:, row[k]] = z
+                for s, z in zs.items():
+                    out[s][:, row[k]] = z
         return out
 
     # -- derived quantities --------------------------------------------------

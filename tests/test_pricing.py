@@ -326,6 +326,15 @@ class TestMonteCarloEstimators:
             for scheme in schemes:
                 assert mixed[scheme][j] == alone[scheme][0]
 
+    def test_taylor_alone_equals_its_share_of_every_scheme(self, setup):
+        # taylor alone still advances the frozen state its drift reads, so
+        # its estimates are bitwise those of a run of all three schemes
+        specs = [CapletSpec(3, 0.045), SwaptionSpec(2, 5, 0.045)]
+        taylor = Scheme.STRONG_TAYLOR
+        every = price_instruments_mc(setup, specs, list(Scheme), 2000, 17, 2)
+        alone = price_instruments_mc(setup, specs, [taylor], 2000, 17, 2)
+        assert alone[taylor] == every[taylor]
+
     def test_repeated_scheme_is_rejected(self, setup):
         # two entries for one scheme would pool their paths into one
         # estimator: twice the path count and a sqrt(2) too small error
@@ -386,7 +395,7 @@ class TestChainProducts:
         dh = engine.path_increments(5, 0, 8)
         dh[3, 12] = np.inf
         with np.errstate(all="ignore"):
-            log_fix = engine.evolve(scheme, dh)
+            log_fix = engine.log_fixings([scheme], dh)[scheme]
             fix = engine.fixings(log_fix)
             valid = engine.valid_mask(log_fix, fix)
             got = chain_products(fix, setup)

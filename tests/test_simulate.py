@@ -1,5 +1,7 @@
 """Tests for grids, path generation, and the three recursion schemes."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -122,15 +124,26 @@ class TestIncrements:
         assert np.all(np.abs(dh.var(axis=0) - var) < 4.0 * var_se)
 
 
-def whole_paths(engine, scheme, dh):
-    """Log-rate paths (paths, grid points, rates), every grid point kept."""
-    return np.stack(list(engine.states(scheme, dh)), axis=1)
+def whole_paths(engine, schemes, dh):
+    """Log-rate paths (paths, grid points, rates) per scheme."""
+    states = list(engine.states(schemes, dh))
+    return {s: np.stack([zs[s] for zs in states], axis=1) for s in schemes}
+
+
+def whole_path(engine, scheme, dh):
+    """Log-rate paths of ``scheme`` run alone."""
+    return whole_paths(engine, [scheme], dh)[scheme]
+
+
+def log_fixings(engine, scheme, dh):
+    """Fixing-date log rates of ``scheme`` run alone."""
+    return engine.log_fixings([scheme], dh)[scheme]
 
 
 class TestSchemes:
     def test_last_rate_coincides_bitwise(self, engine):
         dh = engine.path_increments(21, 0, 64)
-        paths = {s: whole_paths(engine, s, dh) for s in Scheme}
+        paths = whole_paths(engine, list(Scheme), dh)
         for s in (Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR):
             assert np.array_equal(paths[s][:, :, 8],
                                   paths[Scheme.FULL_SDE][:, :, 8])
@@ -143,16 +156,17 @@ class TestSchemes:
         # recursion bitwise on rate N-1 (and no further down)
         eng = SimulationEngine(setup, build_grid(setup.tenor, substeps))
         dh = eng.path_increments(seed, 0, 256)
-        full = whole_paths(eng, Scheme.FULL_SDE, dh)
-        taylor = whole_paths(eng, Scheme.STRONG_TAYLOR, dh)
+        full, taylor = whole_paths(
+            eng, [Scheme.FULL_SDE, Scheme.STRONG_TAYLOR], dh).values()
         assert np.array_equal(taylor[:, :, 7], full[:, :, 7])
         assert not np.array_equal(taylor[:, :, 6], full[:, :, 6])
 
     def test_stage_one_is_the_frozen_path(self, engine):
-        # rebuild every two-stage step from the drift at the frozen path
+        # rebuild every two-stage step from the drift at the frozen path;
+        # each scheme runs alone
         dh = engine.path_increments(21, 0, 32)
-        frozen = whole_paths(engine, Scheme.FROZEN_DRIFT, dh)
-        taylor = whole_paths(engine, Scheme.STRONG_TAYLOR, dh)
+        frozen = whole_path(engine, Scheme.FROZEN_DRIFT, dh)
+        taylor = whole_path(engine, Scheme.STRONG_TAYLOR, dh)
         z = frozen[:, 0]
         assert np.array_equal(taylor[:, 0], z)
         for k, dt in enumerate(engine.dt):
@@ -164,14 +178,14 @@ class TestSchemes:
         # all schemes read the same state at time zero, so the first grid
         # step must agree bitwise for every rate
         dh = engine.path_increments(21, 0, 16)
-        res = [whole_paths(engine, s, dh)[:, 1] for s in Scheme]
+        res = [whole_path(engine, s, dh)[:, 1] for s in Scheme]
         assert np.array_equal(res[0], res[1])
         assert np.array_equal(res[1], res[2])
 
     def test_one_step_recursion_reconstruction(self, setup, engine, grid):
         # reconstruct step 0 by hand: z1 = z0 + b*dt + lambda*dh
         dh = engine.path_increments(21, 0, 8)
-        full = whole_paths(engine, Scheme.FULL_SDE, dh)
+        full = whole_path(engine, Scheme.FULL_SDE, dh)
         z0 = setup.log_initial_rates
         b = engine.evaluator.step_drift(0, z0[None, :])[0]
         dt = grid.times[1] - grid.times[0]
@@ -181,16 +195,15 @@ class TestSchemes:
 
     def test_states_are_fresh_arrays(self, engine):
         dh = engine.path_increments(21, 0, 4)
-        for scheme in Scheme:
-            seen = list(engine.states(scheme, dh))
-            assert len(seen) == engine.grid.n_steps + 1
-            assert not any(np.shares_memory(a, b)
-                           for a, b in zip(seen, seen[1:]))
+        seen = list(engine.states(list(Scheme), dh))
+        assert len(seen) == engine.grid.n_steps + 1
+        moved = [z for zs in seen[1:] for z in zs.values()]
+        assert not any(np.shares_memory(a, b)
+                       for j, a in enumerate(moved) for b in moved[j + 1:])
 
     def test_rates_freeze_at_fixing(self, engine, grid):
         dh = engine.path_increments(33, 0, 8)
-        for scheme in Scheme:
-            paths = whole_paths(engine, scheme, dh)
+        for paths in whole_paths(engine, list(Scheme), dh).values():
             for i in (1, 5, 9):
                 k = grid.tenor_indices[i]
                 tail = paths[:, k:, i - 1]
@@ -198,9 +211,9 @@ class TestSchemes:
 
     def test_fixings_matrix_layout(self, engine, grid):
         dh = engine.path_increments(33, 0, 4)
-        for scheme in Scheme:
-            log_fix = engine.evolve(scheme, dh)
-            paths = whole_paths(engine, scheme, dh)
+        log_fixes = engine.log_fixings(list(Scheme), dh)
+        for scheme, paths in whole_paths(engine, list(Scheme), dh).items():
+            log_fix = log_fixes[scheme]
             assert log_fix.shape == (4, 9, 9)
             assert np.array_equal(log_fix, paths[:, grid.tenor_indices[1:]])
             fix = engine.fixings(log_fix)
@@ -216,8 +229,7 @@ class TestSchemes:
 
     def test_initial_column_is_the_curve(self, setup, engine):
         dh = engine.path_increments(33, 0, 8)
-        for scheme in Scheme:
-            paths = whole_paths(engine, scheme, dh)
+        for paths in whole_paths(engine, list(Scheme), dh).values():
             assert np.array_equal(paths[:, 0],
                                   np.broadcast_to(setup.log_initial_rates,
                                                   (8, 9)))
@@ -231,8 +243,7 @@ class TestSchemes:
         g = build_grid(quiet.tenor, 2)
         eng = SimulationEngine(quiet, g)
         dh = eng.path_increments(5, 0, 8)
-        for scheme in Scheme:
-            paths = whole_paths(eng, scheme, dh)
+        for paths in whole_paths(eng, list(Scheme), dh).values():
             assert np.all(paths == quiet.log_initial_rates[None, None, :])
 
     def test_frozen_scheme_exponential_moment(self, setup, engine, grid):
@@ -244,7 +255,7 @@ class TestSchemes:
         dt = np.diff(grid.times)[:fx]
         table = engine.evaluator.frozen_table()[:fx, i - 1]
         dh = engine.path_increments(77, 0, n)
-        log_fix = engine.evolve(Scheme.FROZEN_DRIFT, dh)
+        log_fix = log_fixings(engine, Scheme.FROZEN_DRIFT, dh)
         resid = (log_fix[:, i - 1, i - 1] - setup.log_initial_rates[i - 1]
                  - (table * dt).sum())
         y = np.exp(resid)
@@ -252,6 +263,35 @@ class TestSchemes:
         target = np.exp(nig_cumulant(lam, setup.nig)
                         * setup.tenor.date(i))
         assert abs(y.mean() - target) <= 3.0 * y.std(ddof=1) / np.sqrt(n)
+
+
+SCHEME_ORDERS = [list(p) for r in (1, 2, 3)
+                 for p in itertools.permutations(Scheme, r)]
+
+
+class TestOneLoop:
+    @pytest.mark.parametrize(
+        "schemes", SCHEME_ORDERS,
+        ids=["-".join(s.value for s in order) for order in SCHEME_ORDERS])
+    def test_each_scheme_is_bitwise_its_run_alone(self, engine, grid,
+                                                  schemes):
+        # the schemes share one loop, its noise term and its frozen state;
+        # each still gets the states it has alone, bit for bit, on invalid
+        # paths too
+        dh = engine.path_increments(41, 0, 8)
+        dh[1, 0] = np.inf
+        dh[2, 9] = -np.inf
+        dh[3, 20] = np.nan
+        with np.errstate(all="ignore"):
+            alone = {s: whole_path(engine, s, dh) for s in schemes}
+            together = whole_paths(engine, schemes, dh)
+            log_fix = engine.log_fixings(schemes, dh)
+        assert list(together) == list(log_fix) == schemes
+        for s in schemes:
+            assert not np.isfinite(alone[s][1:4]).all(axis=(1, 2)).any()
+            assert together[s].tobytes() == alone[s].tobytes()
+            assert (log_fix[s].tobytes()
+                    == alone[s][:, grid.tenor_indices[1:]].tobytes())
 
 
 class TestEnsembleApi:
@@ -263,8 +303,8 @@ class TestEnsembleApi:
         for start in range(0, n_paths, batch_size):
             count = min(batch_size, n_paths - start)
             dh = engine.path_increments(seed, start, count)
-            logs.append(whole_paths(engine, scheme, dh))
-            fixes.append(engine.fixings(engine.evolve(scheme, dh)))
+            logs.append(whole_path(engine, scheme, dh))
+            fixes.append(engine.fixings(log_fixings(engine, scheme, dh)))
         return np.concatenate(logs), np.concatenate(fixes)
 
     def test_path_bundle_fields_and_determinism(self, engine, grid):
@@ -298,10 +338,10 @@ class TestEnsembleApi:
     def test_single_path_matches_ensemble(self, engine):
         logs, fix = self._simulate(engine, Scheme.FROZEN_DRIFT, 3, 9, 4096)
         dh = engine.path_increments(9, 2, 1)
-        alone = whole_paths(engine, Scheme.FROZEN_DRIFT, dh)
+        alone = whole_path(engine, Scheme.FROZEN_DRIFT, dh)
         assert np.array_equal(alone[0], logs[2])
         assert np.array_equal(
-            engine.fixings(engine.evolve(Scheme.FROZEN_DRIFT, dh))[0],
+            engine.fixings(log_fixings(engine, Scheme.FROZEN_DRIFT, dh))[0],
             fix[2])
 
 
@@ -317,7 +357,7 @@ class TestOverflowHandling:
         grid = build_grid(wild.tenor, 1)
         engine = SimulationEngine(wild, grid)
         dh = engine.path_increments(5, 0, 64)
-        paths = engine.evolve(Scheme.FROZEN_DRIFT, dh)
+        paths = log_fixings(engine, Scheme.FROZEN_DRIFT, dh)
         fix = engine.fixings(paths)
         assert engine.valid_mask(paths, fix).all()
 
@@ -328,7 +368,7 @@ class TestOverflowHandling:
         dh[3, 0] = np.inf
         dh[6, 2] = np.nan
         with np.errstate(invalid="ignore", over="ignore"):
-            paths = engine.evolve(Scheme.FROZEN_DRIFT, dh)
+            paths = log_fixings(engine, Scheme.FROZEN_DRIFT, dh)
             fix = engine.fixings(paths)
             mask = engine.valid_mask(paths, fix)
         assert list(mask) == [True, True, True, False, True, True, False,
@@ -345,8 +385,8 @@ class TestOverflowHandling:
         dh[4, 20] = np.nan
         dh[5, 5] = 800.0
         with np.errstate(all="ignore"):
-            paths = whole_paths(engine, scheme, dh)
-            log_fix = engine.evolve(scheme, dh)
+            paths = whole_path(engine, scheme, dh)
+            log_fix = log_fixings(engine, scheme, dh)
             fix = engine.fixings(log_fix)
             mask = engine.valid_mask(log_fix, fix)
             oracle = np.isfinite(paths).all(axis=(1, 2))
