@@ -54,12 +54,13 @@ from .pricing import (
     SwaptionSpec,
     ComparisonTable,
     McEstimate,
+    McSums,
     black76_implied_vol,
     black76_price,
     caplet_price_last_rate,
-    chain_products,
     compare_schemes,
     price_instruments_mc,
+    scheme_payoffs,
     zero_strike_caplet_value,
 )
 
@@ -105,15 +106,6 @@ class CriterionResult:
 
     def lines(self) -> list:
         return [self.summary_line()] + ["    " + d for d in self.details]
-
-
-def _whole_paths(engine, schemes, dh):
-    """Log-rate paths (paths, grid points, rates) per scheme."""
-    out = {s: np.empty((len(dh), engine.grid.n_steps + 1, engine.n_rates)) for s in schemes}
-    for k, zs in enumerate(engine.states(schemes, dh)):
-        for s, z in zs.items():
-            out[s][:, k] = z
-    return out
 
 
 def build_last_rate_sample(
@@ -212,11 +204,10 @@ def criterion_scheme_coincidence(
     for offset in range(3):
         # Consecutive seeds, wrapping at 2^64 so every valid seed runs.
         dh = engine.path_increments((seed + offset) % SEED_LIMIT, 0, 2048)
-        logs = _whole_paths(engine, list(Scheme), dh)
+        logs = engine.log_states(list(Scheme), dh, range(grid.n_steps + 1))
         payoffs = {}
         for s, arr in logs.items():
-            fix = engine.fixings(arr[:, grid.tenor_indices[1:]])
-            payoffs[s] = spec.payoffs(chain_products(fix, setup), fix, setup)
+            (payoffs[s],), _ = scheme_payoffs(engine, [spec], arr[:, grid.tenor_indices[1:]])
         ref = logs[Scheme.FULL_SDE][:, :, last - 1]
         ref_pay = payoffs[Scheme.FULL_SDE]
         for s in (Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR):
@@ -467,20 +458,18 @@ def _check_black76_round_trip():
     return worst <= 1e-8, "implied-vol round trip max error %.3g (tolerance 1e-08)" % worst
 
 
-def _check_single_period_swaption(setup, engine, dh):
-    fix = engine.fixings(engine.log_fixings([Scheme.FULL_SDE], dh)[Scheme.FULL_SDE])
-    products = chain_products(fix, setup)
+def _check_single_period_swaption(setup, engine, full):
+    rates = (2, 5, 8)
+    specs = [CapletSpec(i, setup.initial_rate(i)) for i in rates]
+    specs += [SwaptionSpec(i, i + 1, setup.initial_rate(i)) for i in rates]
+    payoffs, _ = scheme_payoffs(engine, specs, full[:, engine.grid.tenor_indices[1:]])
     worst = 0.0
-    for i in (2, 5, 8):
-        strike = setup.initial_rate(i)
-        cap = CapletSpec(i, strike).payoffs(products, fix, setup)
-        swp = SwaptionSpec(i, i + 1, strike).payoffs(products, fix, setup)
+    for cap, swp in zip(payoffs[:3], payoffs[3:]):
         worst = max(worst, float(np.max(np.abs(cap - swp))))
     return worst <= 1e-13, "single-period swaption vs caplet: max |payoff gap| %.3g (tolerance 1e-13)" % worst
 
 
-def _check_stage_one_identity(engine, dh):
-    frozen, taylor = _whole_paths(engine, [Scheme.FROZEN_DRIFT, Scheme.STRONG_TAYLOR], dh).values()
+def _check_stage_one_identity(engine, dh, frozen, taylor):
     z = taylor[:, 0]
     ok = bool(np.array_equal(z, frozen[:, 0]))
     for k, dt in enumerate(engine.dt):
@@ -521,11 +510,14 @@ def _check_zero_strike_caplet(setup, seed, n_paths, substeps):
     target = zero_strike_caplet_value(setup, rate)
     dev = estimate.price - target
     ok = abs(dev) <= 3.0 * estimate.std_error
-    return ok, "zero-strike caplet mc %.6g vs bond difference %.6g (%+.2f SE)" % (
+    msg = "zero-strike caplet mc %.6g vs bond difference %.6g (%+.2f SE)" % (
         estimate.price,
         target,
         dev / estimate.std_error,
     )
+    if estimate.n_invalid:
+        msg += "; invalid paths left out: %d" % estimate.n_invalid
+    return ok, msg
 
 
 def _check_grid_refinement(setup, seed, n_paths, substeps):
@@ -534,6 +526,7 @@ def _check_grid_refinement(setup, seed, n_paths, substeps):
     Increments on the fine grid are aggregated pairwise to drive the coarse
     grid, so the price difference isolates the discretization effect from
     Monte Carlo noise.  The bias must be invisible at MC resolution.
+    Invalid paths are left out of each grid's price and counted.
     """
     fine = build_grid(setup.tenor, 2 * substeps)
     coarse = build_grid(setup.tenor, substeps)
@@ -541,29 +534,27 @@ def _check_grid_refinement(setup, seed, n_paths, substeps):
     engine_coarse = SimulationEngine(setup, coarse)
     rate = 5
     spec = CapletSpec(rate, setup.initial_rate(rate))
-    pay_coarse = []
-    pay_fine = []
+    sums = {engine_coarse: McSums(1), engine_fine: McSums(1)}
     for first in range(0, n_paths, DEFAULT_BATCH):
         size = min(DEFAULT_BATCH, n_paths - first)
         dh_fine = engine_fine.path_increments(seed, first, size)
         dh_coarse = dh_fine.reshape(size, coarse.n_steps, 2).sum(axis=2)
-        for engine, dh, sink in (
-            (engine_coarse, dh_coarse, pay_coarse),
-            (engine_fine, dh_fine, pay_fine),
-        ):
-            fix = engine.fixings(engine.log_fixings([Scheme.FULL_SDE], dh)[Scheme.FULL_SDE])
-            sink.append(spec.payoffs(chain_products(fix, setup), fix, setup))
-    coarse_pay = np.concatenate(pay_coarse)
-    fine_pay = np.concatenate(pay_fine)
-    bias = abs(float(coarse_pay.mean() - fine_pay.mean()))
-    mc_se = float(fine_pay.std(ddof=1) / math.sqrt(fine_pay.size))
-    ok = bias < 3.0 * mc_se
-    return ok, "grid refinement %dx vs %dx substeps: |price gap| %.3g vs 3 x MC SE %.3g" % (
+        for engine, dh in ((engine_coarse, dh_coarse), (engine_fine, dh_fine)):
+            log_fix = engine.log_states([Scheme.FULL_SDE], dh, engine.grid.tenor_indices[1:])
+            sums[engine].add(*scheme_payoffs(engine, [spec], log_fix[Scheme.FULL_SDE]))
+    est_coarse, est_fine = (s.estimates(seed, Scheme.FULL_SDE)[0] for s in sums.values())
+    bias = abs(est_coarse.price - est_fine.price)
+    ok = bias < 3.0 * est_fine.std_error
+    msg = "grid refinement %dx vs %dx substeps: |price gap| %.3g vs 3 x MC SE %.3g" % (
         substeps,
         2 * substeps,
         bias,
-        3.0 * mc_se,
+        3.0 * est_fine.std_error,
     )
+    if est_coarse.n_invalid or est_fine.n_invalid:
+        msg += "; invalid paths left out: %d at %dx, %d at %dx" % (
+            est_coarse.n_invalid, substeps, est_fine.n_invalid, 2 * substeps)
+    return ok, msg
 
 
 def criterion_unit_property_suite(
@@ -577,10 +568,11 @@ def criterion_unit_property_suite(
     grid = build_grid(setup.tenor, substeps)
     engine = SimulationEngine(setup, grid)
     dh = engine.path_increments(seed, 0, 4096)
+    paths = engine.log_states(list(Scheme), dh, range(grid.n_steps + 1))
     checks = [
         _check_black76_round_trip(),
-        _check_single_period_swaption(setup, engine, dh),
-        _check_stage_one_identity(engine, dh),
+        _check_single_period_swaption(setup, engine, paths[Scheme.FULL_SDE]),
+        _check_stage_one_identity(engine, dh, paths[Scheme.FROZEN_DRIFT], paths[Scheme.STRONG_TAYLOR]),
         _check_cumulant_values(setup),
         _check_zero_strike_caplet(setup, seed, n_paths, substeps),
         _check_grid_refinement(setup, seed, n_paths, substeps),
@@ -596,15 +588,14 @@ def run_all(
     seed: int = DEFAULT_SEED,
     paths_scale: float = 1.0,
     substeps: int = DEFAULT_SUBSTEPS,
-    on_table=None,
-) -> Sequence[CriterionResult]:
-    """Run all eight acceptance criteria and return their results.
+) -> tuple[list[CriterionResult], ComparisonTable]:
+    """Run all eight acceptance criteria; return their results and the
+    shared comparison table of criteria 5-7, whose CSV and surface files
+    callers can write without a second run.
 
     ``paths_scale`` rescales every Monte Carlo path count (floored at one
     thousand paths).  Scales other than one are for smoke runs only; the
-    stated tolerances are calibrated to the full path counts.  When given,
-    ``on_table`` receives the shared comparison table so callers can emit
-    its CSV or surface files without a second run.
+    stated tolerances are calibrated to the full path counts.
     """
     if setup is None:
         setup = bundled_setup()
@@ -625,10 +616,8 @@ def run_all(
     t0 = time.perf_counter()
     table = build_comparison(setup, seed, scaled(_FULL_SCALE_COMPARISON_PATHS), substeps)
     build_seconds = time.perf_counter() - t0
-    if on_table is not None:
-        on_table(table)
     results.append(criterion_taylor_iv_accuracy(table, build_seconds))
     results.append(criterion_frozen_iv_pattern(table))
     results.append(criterion_swaption_consistency(table))
     results.append(criterion_unit_property_suite(setup, seed, scaled(20_000), substeps))
-    return results
+    return results, table

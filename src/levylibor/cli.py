@@ -232,20 +232,17 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if args.paths_scale != 1.0:
         print(f"note: path counts scaled by {args.paths_scale:g}; this is a "
               "smoke run, tolerances are calibrated to the full counts")
-
-    def emit(table) -> None:
-        csv_path = out_dir / "comparison.csv"
-        with open(csv_path, "w", newline="") as fh:
-            table.write_csv(fh)
-        print(f"wrote {csv_path}")
-        for line in table.iv_failure_lines():
-            print(line, file=sys.stderr)
-        for path in _write_surfaces(table, str(out_dir / "iv_surface")):
-            print(f"wrote {path}")
-
-    results = acceptance.run_all(
+    results, table = acceptance.run_all(
         setup, seed=args.seed, paths_scale=args.paths_scale,
-        substeps=args.substeps, on_table=emit)
+        substeps=args.substeps)
+    csv_path = out_dir / "comparison.csv"
+    with open(csv_path, "w", newline="") as fh:
+        table.write_csv(fh)
+    print(f"wrote {csv_path}")
+    for line in table.iv_failure_lines():
+        print(line, file=sys.stderr)
+    for path in _write_surfaces(table, str(out_dir / "iv_surface")):
+        print(f"wrote {path}")
     for result in results:
         for line in result.lines():
             print(line)

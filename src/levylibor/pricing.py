@@ -355,12 +355,55 @@ def caplet_price_last_rate(setup: MarketSetup, strike: float) -> float:
 # Monte Carlo pricing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Accumulator:
-    total: np.ndarray
-    total_sq: np.ndarray
-    n_valid: int = 0
-    n_invalid: int = 0
+def scheme_payoffs(engine: SimulationEngine,
+                   instruments: Sequence[CapletSpec | SwaptionSpec],
+                   log_fix: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-path discounted payoffs of every instrument, in order, on one
+    scheme's fixing-date log rates ``log_fix`` (paths, N, rates), and the
+    mask of valid paths.  An invalid path's payoffs are not meaningful."""
+    fix = engine.fixings(log_fix)
+    products = chain_products(fix, engine.setup)
+    return ([spec.payoffs(products, fix, engine.setup) for spec in instruments],
+            engine.valid_mask(log_fix, fix))
+
+
+class McSums:
+    """Running sums of many instruments' payoffs over one scheme's paths,
+    added batch by batch.  Invalid paths are left out and counted."""
+
+    def __init__(self, n_instruments: int) -> None:
+        self.total = np.zeros(n_instruments)
+        self.total_sq = np.zeros(n_instruments)
+        self.n_valid = 0
+        self.n_invalid = 0
+
+    def add(self, payoffs: Sequence[np.ndarray], valid: np.ndarray) -> None:
+        """Add one batch: each instrument's payoff on every path, and the
+        mask of valid paths."""
+        for j, p in enumerate(payoffs):
+            p = p[valid]
+            self.total[j] += p.sum()
+            self.total_sq[j] += (p * p).sum()
+        n_valid = int(valid.sum())
+        self.n_valid += n_valid
+        self.n_invalid += valid.size - n_valid
+
+    def estimates(self, seed: int, scheme: Scheme) -> list[McEstimate]:
+        """One estimate per instrument: the mean over the valid paths and
+        its standard error, nan and inf without a valid path, inf SE with
+        one."""
+        n = self.n_valid
+        out = []
+        for total, total_sq in zip(self.total, self.total_sq):
+            mean = total / n if n else float("nan")
+            se = float("inf")
+            if n > 1:
+                var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+                se = float(np.sqrt(var / n))
+            out.append(McEstimate(price=float(mean), std_error=se,
+                                  n_paths=n, n_invalid=self.n_invalid,
+                                  seed=seed, scheme=scheme))
+        return out
 
 
 def price_instruments_mc(setup: MarketSetup,
@@ -393,53 +436,20 @@ def price_instruments_mc(setup: MarketSetup,
         spec.check_tenor(setup)
     grid = build_grid(setup.tenor, substeps)
     engine = SimulationEngine(setup, grid)
-
-    acc: dict[Scheme, _Accumulator] = {
-        s: _Accumulator(np.zeros(len(instruments)),
-                        np.zeros(len(instruments)))
-        for s in schemes
-    }
+    sums = {s: McSums(len(instruments)) for s in schemes}
 
     # One call per batch, so a batch's arrays are freed before the next
     # batch allocates its own.
     def add_batch(start: int, count: int) -> None:
         dh = engine.path_increments(seed, start, count)
-        for scheme, log_fix in engine.log_fixings(schemes, dh).items():
-            fix = engine.fixings(log_fix)
-            valid = engine.valid_mask(log_fix, fix)
-            products = chain_products(fix, setup)
-            payoffs = [spec.payoffs(products, fix, setup)[valid]
-                       for spec in instruments]
-            n_valid = int(valid.sum())
-            a = acc[scheme]
-            a.total += np.array([p.sum() for p in payoffs])
-            a.total_sq += np.array([(p * p).sum() for p in payoffs])
-            a.n_valid += n_valid
-            a.n_invalid += count - n_valid
+        log_fix = engine.log_states(schemes, dh, grid.tenor_indices[1:])
+        for scheme in schemes:
+            sums[scheme].add(*scheme_payoffs(engine, instruments,
+                                             log_fix[scheme]))
 
     for start in range(0, n_paths, DEFAULT_BATCH):
         add_batch(start, min(DEFAULT_BATCH, n_paths - start))
-
-    out: dict[Scheme, list[McEstimate]] = {}
-    for scheme in schemes:
-        a = acc[scheme]
-        estimates = []
-        for j in range(len(instruments)):
-            n = a.n_valid
-            if n < 1:
-                mean, se = float("nan"), float("inf")
-            else:
-                mean = a.total[j] / n
-                if n == 1:
-                    se = float("inf")
-                else:
-                    var = max(a.total_sq[j] - n * mean * mean, 0.0) / (n - 1)
-                    se = float(np.sqrt(var / n))
-            estimates.append(McEstimate(price=float(mean), std_error=se,
-                                        n_paths=n, n_invalid=a.n_invalid,
-                                        seed=seed, scheme=scheme))
-        out[scheme] = estimates
-    return out
+    return {s: sums[s].estimates(seed, s) for s in schemes}
 
 
 # ---------------------------------------------------------------------------

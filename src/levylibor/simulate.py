@@ -9,17 +9,18 @@ and differ only in the state the drift is read from (:data:`DRIFT_SOURCE`):
 expansion), ``STRONG_TAYLOR`` the frozen state (its first-order expansion)
 and ``FULL_SDE`` its own state (the exact recursion).
 
-:meth:`SimulationEngine.states` advances every requested scheme in one loop
-over the time steps on one batch of driver increments, so runs at the same
-seed are coupled pathwise.  The noise term is computed once a step and the
-frozen state advanced once, however many schemes read it; each scheme's
-states are bitwise those it has when run alone.  The last rate has a
-state-free drift and is bitwise equal in every scheme; under
-``STRONG_TAYLOR`` so is rate N-1, whose drift reads only rate N.  Loadings
-appearing in a step are the ones in force on the open interval (read at
-the midpoint), so a rate stays exactly constant from its fixing date on.
-Pricing reads only the tenor dates, from :meth:`SimulationEngine.log_fixings`.
-Every path and fixing array has the axis order (paths, time, rate).
+:meth:`SimulationEngine.log_states` advances every requested scheme in one
+loop over the time steps on one batch of driver increments, so runs at the
+same seed are coupled pathwise, and keeps each state at the grid points it is
+asked for.  The noise term is computed once a step and the frozen state
+advanced once, however many schemes read it; each scheme's states are
+bitwise those it has when run alone.  The last rate has a state-free drift
+and is bitwise equal in every scheme; under ``STRONG_TAYLOR`` so is rate
+N-1, whose drift reads only rate N.  Loadings appearing in a step are the
+ones in force on the open interval (read at the midpoint), so a rate stays
+exactly constant from its fixing date on.  Pricing asks for the tenor dates
+only; the pathwise acceptance checks ask for every grid point.  Every path
+and fixing array has the axis order (paths, time, rate).
 
 Driver increments are drawn a block of ``RNG_BLOCK`` consecutive paths at a
 time: path ``j`` at seed ``s`` is row ``j % RNG_BLOCK`` of the block
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -155,41 +156,35 @@ class SimulationEngine:
 
     # -- log-rate recursion -------------------------------------------------
 
-    def states(self, schemes: Sequence[Scheme],
-               dh: np.ndarray) -> Iterator[dict[Scheme, np.ndarray]]:
-        """Log-rate states (paths, rates) per scheme at grid points
-        0..n_steps, fresh arrays after point 0.  The states the drifts read
-        are advanced alongside, each once; every drift is read before any
-        state moves."""
+    def log_states(self, schemes: Sequence[Scheme], dh: np.ndarray,
+                   points: Sequence[int]) -> dict[Scheme, np.ndarray]:
+        """Log-rate states per scheme at the distinct grid points
+        ``points``, each (paths, len(points), rates); row ``j`` holds every
+        rate at ``points[j]``.  One loop over the time steps advances every
+        scheme and the states their drifts read, each once; every drift is
+        read before any state moves."""
         needed = set(schemes) | {DRIFT_SOURCE[s] for s in schemes}
         run = [s for s in Scheme if s in needed]
+        row = {int(k): j for j, k in enumerate(points)}
+        out = {s: np.empty((dh.shape[0], len(row), self.n_rates))
+               for s in schemes}
         z = dict.fromkeys(run, np.repeat(self.setup.log_initial_rates[None, :],
                                          dh.shape[0], axis=0))
-        yield {s: z[s] for s in schemes}
-        for k, dt in enumerate(self.dt):
-            noise = dh[:, k, None] * self.step_vols[k][None, :]
-            b = {s: self._drift(k, z, s) for s in run}
-            z = {s: z[s] + b[s] * dt + noise for s in run}
-            yield {s: z[s] for s in schemes}
+        for k in range(len(self.dt) + 1):
+            if k in row:
+                for s in schemes:
+                    out[s][:, row[k]] = z[s]
+            if k < len(self.dt):
+                noise = dh[:, k, None] * self.step_vols[k][None, :]
+                b = {s: self._drift(k, z, s) for s in run}
+                z = {s: z[s] + b[s] * self.dt[k] + noise for s in run}
+        return out
 
     def _drift(self, k: int, z: dict, scheme: Scheme) -> np.ndarray:
         """Step ``k``'s drift of ``scheme``, read from the states ``z``."""
         source = DRIFT_SOURCE[scheme]
         return (self.frozen_table[k] if source is None
                 else self.evaluator.step_drift(k, z[source]))
-
-    def log_fixings(self, schemes: Sequence[Scheme],
-                    dh: np.ndarray) -> dict[Scheme, np.ndarray]:
-        """Log-rate states at the fixing dates T_1..T_N per scheme, each
-        (paths, N, rates); row ``i - 1`` holds every rate at ``T_i``."""
-        out = {s: np.empty((dh.shape[0], self.n_rates, self.n_rates))
-               for s in schemes}
-        row = {int(k): i for i, k in enumerate(self.grid.tenor_indices[1:])}
-        for k, zs in enumerate(self.states(schemes, dh)):
-            if k in row:
-                for s, z in zs.items():
-                    out[s][:, row[k]] = z
-        return out
 
     # -- derived quantities --------------------------------------------------
 

@@ -6,12 +6,16 @@ per test session at module scope.  Each test prints the criterion verdict
 with its measurements and asserts the overall pass flag.
 """
 
+import math
+import re
 import time
 
+import numpy as np
 import pytest
 
-from levylibor import (CapletSpec, Scheme, acceptance, bundled_setup,
-                       price_instruments_mc, setup_from_dict, setup_to_dict)
+from levylibor import (CapletSpec, Scheme, SimulationEngine, acceptance,
+                       bundled_setup, price_instruments_mc, setup_from_dict,
+                       setup_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +101,27 @@ def test_criterion_7_swaption_consistency_and_growth(comparison):
 
 def test_criterion_8_unit_property_suite(setup):
     report(acceptance.criterion_unit_property_suite(setup))
+
+
+def test_criterion_8_price_checks_leave_out_invalid_paths(setup,
+                                                         monkeypatch):
+    # one poisoned path per grid is dropped from both grids' prices and
+    # counted, where it once turned the gap and its bound into nan
+    real = SimulationEngine.path_increments
+
+    def poisoned(self, seed, first_index, count):
+        out = real(self, seed, first_index, count)
+        if first_index == 0:
+            out[0, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(SimulationEngine, "path_increments", poisoned)
+    with np.errstate(all="ignore"):
+        ok, msg = acceptance._check_grid_refinement(setup, 1, 3000, 4)
+        zero_ok, zero_msg = acceptance._check_zero_strike_caplet(
+            setup, 1, 3000, 4)
+    gap, bound = map(float, re.search(
+        r"\|price gap\| (\S+) vs 3 x MC SE (\S+);", msg).groups())
+    assert ok and math.isfinite(gap) and math.isfinite(bound)
+    assert msg.endswith("; invalid paths left out: 1 at 4x, 1 at 8x")
+    assert zero_ok and zero_msg.endswith("; invalid paths left out: 1")

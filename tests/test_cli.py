@@ -314,12 +314,11 @@ class TestCompare:
 class TestReproduce:
     def test_iv_failures_counted_on_stderr(self, tmp_path, monkeypatch,
                                            capsys):
-        # the comparison table goes through the same emit step as a full
-        # run; the acceptance criteria themselves are left out
-        def run_all(setup, seed, paths_scale, substeps, on_table):
-            on_table(compare_schemes(setup, n_paths=10, seed=1,
-                                     moneyness=(0.7, 1.0)))
-            return []
+        # the comparison table is written as after a full run; the
+        # acceptance criteria themselves are left out
+        def run_all(setup, seed, paths_scale, substeps):
+            return [], compare_schemes(setup, n_paths=10, seed=1,
+                                       moneyness=(0.7, 1.0))
 
         monkeypatch.setattr(acceptance, "run_all", run_all)
         code, out, err = run_cli(

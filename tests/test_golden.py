@@ -7,6 +7,7 @@ build of the numerical libraries may move the last printed digits.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -57,3 +58,25 @@ def _digests(tmp_path, argv, files):
 def test_output_is_byte_identical(name, tmp_path, capsys):
     argv, files, expected = GOLDEN[name]
     assert _digests(tmp_path, argv, files) == expected
+
+
+# The whole acceptance run at 0.005 of its path counts, with its files.
+REPRODUCE = (
+    ["reproduce-paper", "--paths-scale", "0.005", "--seed", "7"],
+    ("comparison.csv", "iv_surface_frozen.dat", "iv_surface_taylor.dat"),
+    ("85928863d732106983e7280501d82359132088bf64794ade4a9d570473f323c2",
+     "287c832ef8c7b64c5c2202e56141533dbfa3d154887f1efb551910c9b468773f",
+     "8e8e339fecfd7def5d2f96e35643ed4e5cd3bf40c1b6cddbc0dbf93a3d38707b"),
+    # stdout with the output directory as {out} and runtimes as (X s
+    "ac4e788b76c66bae8d72bddf1177d1fd2b6f97127a380770c4259183a84a8b99",
+)
+
+
+def test_reproduce_paper_is_byte_identical(tmp_path, capsys):
+    argv, files, expected, stdout = REPRODUCE
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.replace(str(tmp_path), "{out}")
+    out = re.sub(r"\(\d+\.\d s", "(X s", out)
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout
+    assert tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                 for f in files) == expected

@@ -377,6 +377,66 @@ class TestMonteCarloEstimators:
         assert payoff.tolist() == [0.0]
 
 
+class TestMcSums:
+    def test_matches_numpy_on_the_valid_paths(self):
+        # two batches, each with non-finite payoffs on its invalid paths
+        rng = np.random.default_rng(3)
+        batches = []
+        for bad in ([1, 4], [0, 2, 6]):
+            payoffs = rng.lognormal(size=(2, 9))
+            valid = np.ones(9, dtype=bool)
+            valid[bad] = False
+            payoffs[0, bad] = [np.inf, -np.inf, np.nan][:len(bad)]
+            payoffs[1, bad] = np.nan
+            batches.append((payoffs, valid))
+        sums = pricing.McSums(2)
+        for payoffs, valid in batches:
+            sums.add(list(payoffs), valid)
+        estimates = sums.estimates(5, Scheme.FROZEN_DRIFT)
+        kept = np.concatenate([p[:, v] for p, v in batches], axis=1)
+        for j, est in enumerate(estimates):
+            assert est.price == pytest.approx(kept[j].mean(), rel=1e-12)
+            assert est.std_error == pytest.approx(
+                kept[j].std(ddof=1) / np.sqrt(13), rel=1e-12)
+            assert (est.n_paths, est.n_invalid) == (13, 5)
+            assert (est.seed, est.scheme) == (5, Scheme.FROZEN_DRIFT)
+
+    @pytest.mark.parametrize("n_valid", [0, 1])
+    def test_too_few_valid_paths(self, n_valid):
+        sums = pricing.McSums(1)
+        valid = np.arange(3) < n_valid
+        sums.add([np.array([0.5, np.inf, np.nan])], valid)
+        (est,) = sums.estimates(1, Scheme.FULL_SDE)
+        assert est.std_error == math.inf
+        assert (est.n_paths, est.n_invalid) == (n_valid, 3 - n_valid)
+        if n_valid:
+            assert est.price == 0.5
+        else:
+            assert math.isnan(est.price)
+
+
+class TestSchemePayoffs:
+    def test_payoffs_in_order_with_the_valid_mask(self, setup):
+        engine = SimulationEngine(setup, build_grid(setup.tenor, 2))
+        dh = engine.path_increments(5, 0, 6)
+        dh[4, 3] = np.inf
+        specs = [SwaptionSpec(2, 5, 0.045), CapletSpec(3, 0.0)]
+        with np.errstate(all="ignore"):
+            log_fix = engine.log_states([Scheme.FULL_SDE], dh,
+                                        engine.grid.tenor_indices[1:])
+            payoffs, valid = pricing.scheme_payoffs(
+                engine, specs, log_fix[Scheme.FULL_SDE])
+        assert valid.tolist() == [True] * 4 + [False, True]
+        assert [p.shape for p in payoffs] == [(6,), (6,)]
+        # the zero-strike caplet pays accrual * L(T_3, T_3) * B(0, T_10)
+        # times the chain product over rates 4..9 fixed at T_3
+        fix = np.exp(log_fix[Scheme.FULL_SDE][valid, 2])
+        chain = np.prod(1.0 + setup.tenor.accruals[4:] * fix[:, 3:], axis=1)
+        expected = (setup.tenor.accrual(3) * setup.curve.bond(10)
+                    * fix[:, 2] * chain)
+        assert payoffs[1][valid] == pytest.approx(expected, rel=1e-12)
+
+
 class TestChainProducts:
     @staticmethod
     def _loop(fixings, setup):
@@ -395,7 +455,8 @@ class TestChainProducts:
         dh = engine.path_increments(5, 0, 8)
         dh[3, 12] = np.inf
         with np.errstate(all="ignore"):
-            log_fix = engine.log_fixings([scheme], dh)[scheme]
+            log_fix = engine.log_states([scheme], dh,
+                                        engine.grid.tenor_indices[1:])[scheme]
             fix = engine.fixings(log_fix)
             valid = engine.valid_mask(log_fix, fix)
             got = chain_products(fix, setup)

@@ -126,8 +126,7 @@ class TestIncrements:
 
 def whole_paths(engine, schemes, dh):
     """Log-rate paths (paths, grid points, rates) per scheme."""
-    states = list(engine.states(schemes, dh))
-    return {s: np.stack([zs[s] for zs in states], axis=1) for s in schemes}
+    return engine.log_states(schemes, dh, range(engine.grid.n_steps + 1))
 
 
 def whole_path(engine, scheme, dh):
@@ -135,9 +134,14 @@ def whole_path(engine, scheme, dh):
     return whole_paths(engine, [scheme], dh)[scheme]
 
 
-def log_fixings(engine, scheme, dh):
+def log_fixings(engine, schemes, dh):
+    """Fixing-date log rates (paths, N, rates) per scheme."""
+    return engine.log_states(schemes, dh, engine.grid.tenor_indices[1:])
+
+
+def log_fixing(engine, scheme, dh):
     """Fixing-date log rates of ``scheme`` run alone."""
-    return engine.log_fixings([scheme], dh)[scheme]
+    return log_fixings(engine, [scheme], dh)[scheme]
 
 
 class TestSchemes:
@@ -193,14 +197,6 @@ class TestSchemes:
         expected = z0 + b * dt + dh[:, 0, None] * lam[None, :]
         assert np.array_equal(full[:, 1], expected)
 
-    def test_states_are_fresh_arrays(self, engine):
-        dh = engine.path_increments(21, 0, 4)
-        seen = list(engine.states(list(Scheme), dh))
-        assert len(seen) == engine.grid.n_steps + 1
-        moved = [z for zs in seen[1:] for z in zs.values()]
-        assert not any(np.shares_memory(a, b)
-                       for j, a in enumerate(moved) for b in moved[j + 1:])
-
     def test_rates_freeze_at_fixing(self, engine, grid):
         dh = engine.path_increments(33, 0, 8)
         for paths in whole_paths(engine, list(Scheme), dh).values():
@@ -211,7 +207,7 @@ class TestSchemes:
 
     def test_fixings_matrix_layout(self, engine, grid):
         dh = engine.path_increments(33, 0, 4)
-        log_fixes = engine.log_fixings(list(Scheme), dh)
+        log_fixes = log_fixings(engine, list(Scheme), dh)
         for scheme, paths in whole_paths(engine, list(Scheme), dh).items():
             log_fix = log_fixes[scheme]
             assert log_fix.shape == (4, 9, 9)
@@ -255,7 +251,7 @@ class TestSchemes:
         dt = np.diff(grid.times)[:fx]
         table = engine.evaluator.frozen_table()[:fx, i - 1]
         dh = engine.path_increments(77, 0, n)
-        log_fix = log_fixings(engine, Scheme.FROZEN_DRIFT, dh)
+        log_fix = log_fixing(engine, Scheme.FROZEN_DRIFT, dh)
         resid = (log_fix[:, i - 1, i - 1] - setup.log_initial_rates[i - 1]
                  - (table * dt).sum())
         y = np.exp(resid)
@@ -284,14 +280,24 @@ class TestOneLoop:
         dh[3, 20] = np.nan
         with np.errstate(all="ignore"):
             alone = {s: whole_path(engine, s, dh) for s in schemes}
+            alone_fix = {s: log_fixing(engine, s, dh) for s in schemes}
             together = whole_paths(engine, schemes, dh)
-            log_fix = engine.log_fixings(schemes, dh)
+            log_fix = log_fixings(engine, schemes, dh)
         assert list(together) == list(log_fix) == schemes
         for s in schemes:
             assert not np.isfinite(alone[s][1:4]).all(axis=(1, 2)).any()
             assert together[s].tobytes() == alone[s].tobytes()
-            assert (log_fix[s].tobytes()
-                    == alone[s][:, grid.tenor_indices[1:]].tobytes())
+            fixing_rows = alone[s][:, grid.tenor_indices[1:]].tobytes()
+            assert log_fix[s].tobytes() == fixing_rows
+            assert alone_fix[s].tobytes() == fixing_rows
+
+    def test_points_pick_grid_rows_in_order(self, engine):
+        dh = engine.path_increments(41, 0, 8)
+        whole = whole_paths(engine, list(Scheme), dh)
+        picked = engine.log_states(list(Scheme), dh, [36, 0, 7])
+        for s in Scheme:
+            assert picked[s].shape == (8, 3, 9)
+            assert np.array_equal(picked[s], whole[s][:, [36, 0, 7]])
 
 
 class TestEnsembleApi:
@@ -304,7 +310,7 @@ class TestEnsembleApi:
             count = min(batch_size, n_paths - start)
             dh = engine.path_increments(seed, start, count)
             logs.append(whole_path(engine, scheme, dh))
-            fixes.append(engine.fixings(log_fixings(engine, scheme, dh)))
+            fixes.append(engine.fixings(log_fixing(engine, scheme, dh)))
         return np.concatenate(logs), np.concatenate(fixes)
 
     def test_path_bundle_fields_and_determinism(self, engine, grid):
@@ -341,7 +347,7 @@ class TestEnsembleApi:
         alone = whole_path(engine, Scheme.FROZEN_DRIFT, dh)
         assert np.array_equal(alone[0], logs[2])
         assert np.array_equal(
-            engine.fixings(log_fixings(engine, Scheme.FROZEN_DRIFT, dh))[0],
+            engine.fixings(log_fixing(engine, Scheme.FROZEN_DRIFT, dh))[0],
             fix[2])
 
 
@@ -357,7 +363,7 @@ class TestOverflowHandling:
         grid = build_grid(wild.tenor, 1)
         engine = SimulationEngine(wild, grid)
         dh = engine.path_increments(5, 0, 64)
-        paths = log_fixings(engine, Scheme.FROZEN_DRIFT, dh)
+        paths = log_fixing(engine, Scheme.FROZEN_DRIFT, dh)
         fix = engine.fixings(paths)
         assert engine.valid_mask(paths, fix).all()
 
@@ -368,7 +374,7 @@ class TestOverflowHandling:
         dh[3, 0] = np.inf
         dh[6, 2] = np.nan
         with np.errstate(invalid="ignore", over="ignore"):
-            paths = log_fixings(engine, Scheme.FROZEN_DRIFT, dh)
+            paths = log_fixing(engine, Scheme.FROZEN_DRIFT, dh)
             fix = engine.fixings(paths)
             mask = engine.valid_mask(paths, fix)
         assert list(mask) == [True, True, True, False, True, True, False,
@@ -386,7 +392,7 @@ class TestOverflowHandling:
         dh[5, 5] = 800.0
         with np.errstate(all="ignore"):
             paths = whole_path(engine, scheme, dh)
-            log_fix = log_fixings(engine, scheme, dh)
+            log_fix = log_fixing(engine, scheme, dh)
             fix = engine.fixings(log_fix)
             mask = engine.valid_mask(log_fix, fix)
             oracle = np.isfinite(paths).all(axis=(1, 2))
