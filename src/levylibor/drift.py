@@ -29,9 +29,6 @@ serves as the independent oracle the evaluator is tested against.
 
 from __future__ import annotations
 
-import bisect
-import itertools
-
 import numpy as np
 from scipy.integrate import quad_vec
 
@@ -55,46 +52,34 @@ def link_weight(z, accrual: float):
 # Lattice DP: the engine's drift
 # ---------------------------------------------------------------------------
 
-# Lattice points as sorted disjoint inclusive intervals (lo, hi), no two
-# adjacent; a law on them is stored as one row per point, in order.
-Support = tuple[tuple[int, int], ...]
+# A law on lattice points is stored as one row per point, the points sorted.
 
 
-def _absorb(support: Support, a: int) -> tuple[Support, tuple]:
-    """Support of ``S | (S + a)`` for ``S = support``, with the segments
-    that fill its rows from the rows of ``S``.
+def _absorb(points: tuple[int, ...], a: int) -> tuple[tuple[int, ...], tuple]:
+    """Sorted points of ``S | (S + a)`` for ``S = points``, with the
+    segments that fill their rows from the rows of ``S``.
 
     Each segment ``(dst, n, keep, shift)`` covers ``n`` rows from row
     ``dst`` of the new law; ``keep`` is the first of the ``n`` rows of the
     same points in the old law and ``shift`` that of the points ``a``
-    lower, ``None`` where those points are not in ``S``.
+    lower, ``None`` where those points are not in ``S``.  Segments are
+    maximal runs of points of one membership: in ``S`` only, in ``S + a``
+    only, or in both.  Every point of ``S`` and of ``S + a`` is a row of
+    the new law, so along such a run both sources step by one row.
     """
-    los = [lo for lo, _ in support]
-    firsts = list(itertools.accumulate(
-        (hi - lo + 1 for lo, hi in support[:-1]), initial=0))
-
-    def row(x: int) -> int | None:
-        i = bisect.bisect_right(los, x) - 1
-        if i < 0 or x > support[i][1]:
-            return None
-        return firsts[i] + x - los[i]
-
-    cuts = sorted({x + offset for lo, hi in support for x in (lo, hi + 1)
-                   for offset in (0, a)})
-    merged: list[list[int]] = []
-    segments = []
-    dst = 0
-    for x0, x1 in zip(cuts, cuts[1:]):
-        keep, shift = row(x0), row(x0 - a)
-        if keep is None and shift is None:
-            continue
-        segments.append((dst, x1 - x0, keep, shift))
-        dst += x1 - x0
-        if merged and merged[-1][1] == x0 - 1:
-            merged[-1][1] = x1 - 1
+    row = {x: j for j, x in enumerate(points)}
+    merged = sorted(row.keys() | {x + a for x in points})
+    segments: list[list] = []
+    last = None
+    for dst, x in enumerate(merged):
+        keep, shift = row.get(x), row.get(x - a)
+        kind = (keep is None, shift is None)
+        if kind == last:
+            segments[-1][1] += 1
         else:
-            merged.append([x0, x1 - 1])
-    return tuple((lo, hi) for lo, hi in merged), tuple(segments)
+            segments.append([dst, 1, keep, shift])
+            last = kind
+    return tuple(merged), tuple(map(tuple, segments))
 
 
 class DriftEvaluator:
@@ -103,9 +88,9 @@ class DriftEvaluator:
     Precomputes, per grid step, the loadings in force on the open interval;
     evaluation runs one pass over the rates from the back of the tenor,
     carrying each path's law of the summed later loadings on the lattice
-    points those sums can reach.  The absorption plans are memoised by
-    loading pattern and the state-free kernel vectors by loading and
-    reachable set.
+    points those sums can reach.  One memo holds, per pattern of live
+    loadings, each rate's reachable points, its state-free kernel on them
+    and the segments that absorb it.
 
     Raises
     ------
@@ -122,55 +107,40 @@ class DriftEvaluator:
         self.dt = np.diff(times)
         mids = 0.5 * (times[:-1] + times[1:])
         self.mids = mids
-        n = setup.n_rates
-        self.n_rates = n
+        self.n_rates = setup.n_rates
         vols = setup.vols
         self.step_vols = np.array([vols.loadings(t) for t in mids])
-        self.accruals = np.array([setup.tenor.accrual(i)
-                                  for i in range(1, n + 1)])
-        self._nig = setup.nig
+        self.accruals = setup.tenor.accruals[1:]
         # Lattice step in quanta.
         self._quanta = loading_lattice(vols)[0]
-        self._kernels: dict[tuple, np.ndarray] = {}
-        self._plans: dict[tuple[int, ...], tuple] = {}
+        self._plans: dict[tuple[float, ...], tuple] = {}
 
     @property
     def n_steps(self) -> int:
         return len(self.dt)
 
-    def _kernel(self, lam_i: float, support: Support) -> np.ndarray:
-        """``kappa(lam_i + x h) - kappa(x h)`` for the lattice points ``x``
-        of ``support``, in order."""
-        key = (lam_i, support)
-        g = self._kernels.get(key)
-        if g is None:
-            x = np.concatenate([np.arange(lo, hi + 1) for lo, hi in support])
-            x = x * self._quanta / LOADING_QUANTA
-            g = (nig_jump_cumulant(lam_i + x, self._nig)
-                 - nig_jump_cumulant(x, self._nig))
-            # The memo is race-safe for library callers: concurrent builds
-            # of one kernel are bitwise equal and setdefault keeps the first.
-            g = self._kernels.setdefault(key, g)
-        return g
-
-    def _plan(self, units: tuple[int, ...]) -> tuple:
-        """Absorption plan of the live rates with lattice loadings
-        ``units``, last first: per rate, the support its law is reduced on
-        and the segments that absorb it (:func:`_absorb`)."""
-        plan = self._plans.get(units)
+    def _plan(self, lams: tuple[float, ...]) -> tuple:
+        """Absorption plan of the live rates with loadings ``lams``, last
+        first: per rate, the lattice points its law is reduced on, the
+        kernel ``kappa(lam_i + x h) - kappa(x h)`` on those points ``x`` and
+        the segments that absorb it (:func:`_absorb`)."""
+        plan = self._plans.get(lams)
         if plan is None:
-            if len(units) == 1:
-                plan = ((((0, 0),), ()),)
+            if len(lams) == 1:
+                head, points = (), (0,)
             else:
                 # A pattern is the one without its front rate plus one
                 # absorption, so patterns that lose rates share their steps.
-                head = self._plan(units[:-1])
-                support = head[-1][0]
-                merged, segments = _absorb(support, units[-2])
-                plan = head[:-1] + ((support, segments), (merged, ()))
-            # Race-safe like the kernel memo: equal builds, the first one
-            # kept.
-            plan = self._plans.setdefault(units, plan)
+                *rest, (support, g, _) = self._plan(lams[:-1])
+                a = round(lams[-2] * LOADING_QUANTA) // self._quanta
+                points, segments = _absorb(support, a)
+                head = (*rest, (support, g, segments))
+            x = np.array(points) * self._quanta / LOADING_QUANTA
+            nig = self.setup.nig
+            g = nig_jump_cumulant(lams[-1] + x, nig) - nig_jump_cumulant(x, nig)
+            # The memo is race-safe for library callers: concurrent builds
+            # of one plan are bitwise equal and setdefault keeps the first.
+            plan = self._plans.setdefault(lams, (*head, (points, g, ())))
         return plan
 
     def _jump_pass(self, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -199,15 +169,12 @@ class DriftEvaluator:
         live = np.flatnonzero(lam)[::-1]
         if live.size == 0:
             return out
-        units = tuple(round(lam[col] * LOADING_QUANTA) // self._quanta
-                      for col in live)
         p = np.ones((1, paths))
         norm = np.ones(paths)
         with np.errstate(over="ignore", invalid="ignore"):
             odds = np.exp(z[:, live].T) * self.accruals[live, None]
-            for r, (col, (support, segments)) in enumerate(
-                    zip(live, self._plan(units))):
-                g = self._kernel(float(lam[col]), support)
+            for r, (col, (_, g, segments)) in enumerate(
+                    zip(live, self._plan(tuple(lam[live].tolist())))):
                 out[:, col] = np.einsum("jp,j->p", p, g) / norm
                 if not segments:
                     break

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from levylibor import (CapletSpec, Scheme, SimulationEngine, acceptance,
-                       bundled_setup, price_instruments_mc, setup_from_dict,
-                       setup_to_dict)
+                       build_grid, bundled_setup, price_instruments_mc,
+                       setup_from_dict, setup_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +125,19 @@ def test_criterion_8_price_checks_leave_out_invalid_paths(setup,
     assert ok and math.isfinite(gap) and math.isfinite(bound)
     assert msg.endswith("; invalid paths left out: 1 at 4x, 1 at 8x")
     assert zero_ok and zero_msg.endswith("; invalid paths left out: 1")
+
+
+def test_criterion_8_swaption_identity_leaves_out_invalid_paths(setup):
+    # a poisoned path's nan gaps once made every rate's maximum nan, which
+    # the fold into the worst gap skipped: the check read 0 and passed
+    engine = SimulationEngine(setup, build_grid(setup.tenor, 4))
+    dh = engine.path_increments(1, 0, 512)
+    dh[0, 0] = np.inf
+    with np.errstate(all="ignore"):
+        full = engine.log_states([Scheme.FULL_SDE], dh,
+                                 range(engine.grid.n_steps + 1))
+        ok, msg = acceptance._check_single_period_swaption(
+            setup, engine, full[Scheme.FULL_SDE])
+    worst = float(re.search(r"max \|payoff gap\| (\S+) ", msg).group(1))
+    assert ok and 0.0 < worst <= 1e-13
+    assert msg.endswith("; invalid paths left out: 1")

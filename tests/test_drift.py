@@ -8,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levylibor import (
     DriftEvaluator,
@@ -19,8 +21,10 @@ from levylibor import (
     setup_from_dict,
     setup_to_dict,
 )
-from levylibor.drift import link_weight
+from levylibor.drift import _absorb, link_weight
 from levylibor.market import LOADING_QUANTA
+
+from helpers import REGULAR_LOADINGS, regular_setup
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +203,7 @@ class TestQuadratureBatch:
             raise AssertionError("the oracle reached the lattice DP")
 
         monkeypatch.setattr(DriftEvaluator, "_jump_pass", boom)
-        monkeypatch.setattr(DriftEvaluator, "_kernel", boom)
+        monkeypatch.setattr(DriftEvaluator, "_plan", boom)
         monkeypatch.setattr("levylibor.drift._absorb", boom)
         assert np.array_equal(drift_quadrature(*mixed_batch, setup), expected)
 
@@ -323,24 +327,6 @@ class HullEvaluator(DriftEvaluator):
     _jump_pass = hull_jump_pass
 
 
-def regular_setup(loadings, name="regular"):
-    """Semiannual setup with a flat 4% curve and the given per-rate
-    loadings, on the bundled NIG driver."""
-    n = len(loadings)
-    raw = setup_to_dict(bundled_setup())
-    dates = [0.5 * k for k in range(n + 2)]
-    raw.update(name=name, tenor_dates=dates,
-               bond_prices=[math.exp(-0.04 * t) for t in dates[1:]],
-               vols=list(loadings))
-    return setup_from_dict(raw)
-
-
-REGULAR_LOADINGS = [
-    [0.20, 0.19, 0.18, 0.17, 0.16, 0.15, 0.14, 0.13, 0.12],
-    # negative loadings sit below the lattice origin
-    [0.1, -0.05, 0.15, 0.02, -0.12, 0.07, 0.2, -0.03, 0.11, 0.09],
-    [0.125, 0.13, 0.005, 0.25],
-]
 # 20 years semiannual, loadings falling from 0.05 to 0.02 on the 0.01
 # lattice: far past what a 2^m subset expansion could hold
 FORTY_LOADINGS = [round(5 - 3 * k / 39) / 100 for k in range(40)]
@@ -394,8 +380,8 @@ class TestReachableSupport:
                                       hull.step_drift(k, z), equal_nan=True)
 
     def test_supports_are_the_reachable_sums(self, pair):
-        # every support a plan reduces on is the set of sums of subsets of
-        # the loadings absorbed before it, in lattice steps, enumerated
+        # every point set a plan reduces on is the set of sums of subsets
+        # of the loadings absorbed before it, in lattice steps, enumerated
         # point by point
         ev, _ = pair
         step = loading_lattice(ev.setup.vols)[0]
@@ -403,17 +389,45 @@ class TestReachableSupport:
             live = np.flatnonzero(lam)[::-1]
             if live.size == 0:
                 continue
-            units = tuple(round(lam[col] * LOADING_QUANTA) // step
-                          for col in live)
-            plan = ev._plan(units)
-            assert len(plan) == len(units)
+            plan = ev._plan(tuple(lam[live].tolist()))
+            assert len(plan) == live.size
             sums = {0}
-            for (support, _), a in zip(plan, units):
-                points = [x for lo, hi in support for x in range(lo, hi + 1)]
-                assert points == sorted(sums)
-                assert all(hi + 1 < lo for (_, hi), (lo, _)
-                           in zip(support, support[1:]))
+            for (points, _, _), col in zip(plan, live):
+                assert points == tuple(sorted(sums))
+                a = round(lam[col] * LOADING_QUANTA) // step
                 sums |= {x + a for x in sums}
+
+
+def _row(points, x):
+    return points.index(x) if x in points else None
+
+
+def _next_row(j, n):
+    return None if j is None else j + n
+
+
+class TestAbsorb:
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(st.lists(st.integers(-40, 40), min_size=1, unique=True),
+           st.integers(-30, 30).filter(bool))
+    def test_segments_are_maximal_runs_of_source_rows(self, xs, a):
+        support = tuple(sorted(xs))
+        points, segments = _absorb(support, a)
+        assert points == tuple(sorted(set(support) | {x + a for x in support}))
+        dst = 0
+        for first, n, keep, shift in segments:
+            # the segments tile the rows of the new law in order
+            assert first == dst and n >= 1
+            for k, x in enumerate(points[dst:dst + n]):
+                assert _next_row(keep, k) == _row(support, x)
+                assert _next_row(shift, k) == _row(support, x - a)
+            dst += n
+        assert dst == len(points)
+        for (_, n, keep, shift), (_, _, keep1, shift1) in zip(
+                segments, segments[1:]):
+            assert (keep1, shift1) != (_next_row(keep, n),
+                                       _next_row(shift, n))
 
 
 class TestLatticeDp:
@@ -458,8 +472,8 @@ class TestLatticeDp:
         with pytest.raises(ValueError, match="points"):
             DriftEvaluator(wide, build_grid(wide.tenor, 1))
 
-    def test_threads_share_the_kernel_memo(self, setup):
-        # more threads than cores race to fill a fresh evaluator's kernel
+    def test_threads_share_the_plan_memo(self, setup):
+        # more threads than cores race to fill a fresh evaluator's plan
         # memo; every thread must see the single-threaded jump terms
         grid = build_grid(setup.tenor, 3)
         z = setup.log_initial_rates + np.random.default_rng(4).normal(

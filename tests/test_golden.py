@@ -7,11 +7,15 @@ build of the numerical libraries may move the last printed digits.
 """
 
 import hashlib
+import json
 import re
 
 import pytest
 
+from levylibor import setup_to_dict
 from levylibor.cli import main
+
+from helpers import REGULAR_LOADINGS, regular_setup
 
 # 4100 paths: one full batch and a few paths of a second one.
 RUN = ["--seed", "11", "--paths", "4100"]
@@ -58,6 +62,21 @@ def _digests(tmp_path, argv, files):
 def test_output_is_byte_identical(name, tmp_path, capsys):
     argv, files, expected = GOLDEN[name]
     assert _digests(tmp_path, argv, files) == expected
+
+
+# The drift DP off the bundled setup: ten rates, some loadings negative.
+REGULAR = (
+    ["price-caplets", "--scheme", "full", "--paths", "2100", "--seed", "11",
+     "--setup", "{tmp}/setup.json"],
+    "2ef45665262d7b5c67827ccd62a4e1c88846f20fc0e7c8538a00d7fac9bf9d99",
+)
+
+
+def test_regular_setup_is_byte_identical(tmp_path, capsys):
+    argv, expected = REGULAR
+    raw = setup_to_dict(regular_setup(REGULAR_LOADINGS[1]))
+    (tmp_path / "setup.json").write_text(json.dumps(raw))
+    assert _digests(tmp_path, argv, ("out.csv",)) == (expected,)
 
 
 # The whole acceptance run at 0.005 of its path counts, with its files.
