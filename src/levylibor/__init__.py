@@ -13,10 +13,10 @@ from .driver import (
     NigParams,
     block_rng,
     nig_cumulant,
+    nig_density,
     nig_jump_cumulant,
     nig_levy_density,
     nig_mean_rate,
-    nig_variance_rate,
     sample_inverse_gaussian,
     sample_nig_increment,
 )

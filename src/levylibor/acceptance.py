@@ -108,6 +108,14 @@ class CriterionResult:
         return [self.summary_line()] + ["    " + d for d in self.details]
 
 
+def _in_se(dev: float, se: float) -> float:
+    """``dev`` in units of ``se``.  A zero SE, as a deterministic payoff
+    gives, makes it 0 without a deviation and a signed infinity with one."""
+    if se > 0.0:
+        return dev / se
+    return 0.0 if dev == 0.0 else math.copysign(math.inf, dev)
+
+
 def build_last_rate_sample(
     setup: MarketSetup,
     seed: int = DEFAULT_SEED,
@@ -152,7 +160,7 @@ def criterion_martingale_mean(
     details = [
         "mean L(T_%d,T_%d) = %.8f, target %.8f" % (last, last, mean, target),
         "deviation %+.3g = %+.2f SE (SE %.3g), %d/%d valid paths"
-        % (dev, dev / se, se, estimate.n_paths,
+        % (dev, _in_se(dev, se), se, estimate.n_paths,
            estimate.n_paths + estimate.n_invalid),
     ]
     return CriterionResult(1, "terminal-rate martingale mean", passed, elapsed, 60.0, details)
@@ -177,7 +185,7 @@ def criterion_last_rate_caplet_oracle(
     passed = abs(dev) <= 3.0 * estimate.std_error
     details = [
         "mc %.8g vs quadrature %.8g" % (estimate.price, oracle),
-        "deviation %+.3g = %+.2f SE (SE %.3g)" % (dev, dev / estimate.std_error, estimate.std_error),
+        "deviation %+.3g = %+.2f SE (SE %.3g)" % (dev, _in_se(dev, estimate.std_error), estimate.std_error),
     ]
     return CriterionResult(2, "last-rate caplet vs quadrature oracle", passed, elapsed, details=details)
 

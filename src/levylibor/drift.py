@@ -30,7 +30,6 @@ serves as the independent oracle the evaluator is tested against.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .driver import nig_jump_cumulant, nig_levy_density
 from .market import LOADING_QUANTA, MarketSetup, loading_lattice
@@ -114,10 +113,6 @@ class DriftEvaluator:
         # Lattice step in quanta.
         self._quanta = loading_lattice(vols)[0]
         self._plans: dict[tuple[float, ...], tuple] = {}
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.dt)
 
     def _plan(self, lams: tuple[float, ...]) -> tuple:
         """Absorption plan of the live rates with loadings ``lams``, last
@@ -273,7 +268,12 @@ def drift_quadrature(s, i, log_rates, setup: MarketSetup):
 
 def _jump_integrals(inputs, p) -> np.ndarray:
     """Compensated jump integrals of the nonzero-loading cases ``inputs``
-    (:func:`_drift_inputs`), one vector quadrature per piece of the line."""
+    (:func:`_drift_inputs`), one vector quadrature per piece of the line.
+
+    ``scipy.integrate`` is imported here, not with the module, so that only
+    a run that asks for this oracle loads it."""
+    from scipy.integrate import quad_vec
+
     width = max(len(lams) for _, _, lams in inputs)
     # Padding weights and loadings with zeros makes the padded factors
     # 1 + 0 * expm1(0) = 1.

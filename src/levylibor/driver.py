@@ -130,14 +130,26 @@ def nig_levy_density(x, p: NigParams):
     return float(out) if xa.ndim == 0 else out
 
 
+def nig_density(x, t: float, p: NigParams):
+    """Density of H(t) ~ NIG(alpha, beta, delta*t, mu*t) at ``x``.
+
+    With ``s = delta*t`` and ``q = sqrt(s^2 + (x - mu*t)^2)`` it is
+    ``alpha*s/pi * K_1(alpha q)/q * e^(s gamma + beta (x - mu t))``, computed
+    through the exponentially scaled Bessel function so that the exponents
+    combine before they are taken and the tails underflow gracefully.
+    """
+    xa = np.asarray(x, dtype=float)
+    spread = p.delta * t
+    y = xa - p.mu * t
+    q = np.hypot(spread, y)
+    out = (p.alpha * spread / np.pi) * k1e(p.alpha * q) / q * np.exp(
+        spread * p.gamma + p.beta * y - p.alpha * q)
+    return float(out) if xa.ndim == 0 else out
+
+
 def nig_mean_rate(p: NigParams) -> float:
     """Mean of the law per unit time: mu + delta*beta/gamma."""
     return p.mu + p.delta * p.beta / p.gamma
-
-
-def nig_variance_rate(p: NigParams) -> float:
-    """Variance of the law per unit time: delta*alpha^2/gamma^3."""
-    return p.delta * p.alpha**2 / p.gamma**3
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
-from scipy.stats import norminvgauss
 
-from .driver import nig_jump_cumulant
+from .driver import NigParams, nig_density, nig_jump_cumulant, nig_mean_rate
 from .market import MarketSetup
 from .simulate import (DEFAULT_BATCH, DEFAULT_SUBSTEPS, Scheme,
                        SimulationEngine, build_grid)
@@ -306,49 +304,118 @@ def black76_implied_vol(price: float, forward: float, strike: float,
 # Quadrature benchmark for the last rate
 # ---------------------------------------------------------------------------
 
+# The oracle's composite rule: Gauss-Legendre nodes and weights on [-1, 1],
+# the share of the price its truncated tails may leave out, and the panels
+# a walk evaluates per round.
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+ORACLE_TAIL = 1e-16
+WALK_PANELS = 64
+
+
+def _walk(integrand, tail, start: float, stop: float, step: float,
+          total: float) -> float:
+    """Integral of ``integrand`` from ``start`` toward ``stop`` on panels of
+    width ``|step|``, walking away from the law's location.  The walk ends
+    at ``stop`` or at the first panel end where ``tail`` falls under
+    ``ORACLE_TAIL`` times the integral so far, ``total`` included."""
+    acc, a = 0.0, start
+    while a != stop:
+        ends = a + step * np.arange(1.0, WALK_PANELS + 1.0)
+        past = ends >= stop if step > 0.0 else ends <= stop
+        if past.any():
+            ends = ends[:np.argmax(past) + 1]
+            ends[-1] = stop
+        edges = np.concatenate(([a], ends))
+        half = 0.5 * np.diff(edges)
+        nodes = (edges[:-1] + half)[:, None] + half[:, None] * GL_NODES
+        sums = acc + np.cumsum(np.abs(half) * (integrand(nodes) @ GL_WEIGHTS))
+        done = tail(ends) <= ORACLE_TAIL * (total + sums)
+        if done.any():
+            return float(sums[np.argmax(done)])
+        acc, a = float(sums[-1]), float(ends[-1])
+    return acc
+
+
 def caplet_price_last_rate(setup: MarketSetup, strike: float) -> float:
     """Caplet price on the last rate by quadrature against the exact law.
 
-    The last rate carries a deterministic drift (no rates after it), so its
-    log at the fixing date is ``log L(0,T_N) - kappa(lam)*T_N + lam*H(T_N)``
-    with ``H(T_N)`` NIG distributed; the price is a one-dimensional integral
-    evaluated independently of any path machinery.  Requires a loading
-    constant in time.
+    The last rate carries a deterministic drift (no rates after it), so with
+    its loading ``lam`` constant in time its log at the fixing date T = T_N
+    is ``log F + d + lam*H(T)``, ``d = -kappa_J(lam)*T``, with ``H(T)`` ~
+    NIG(alpha, beta, delta*T, mu*T) (Eberlein and Oezkan, "The Levy LIBOR
+    model", 2005).  The price is a one-dimensional integral evaluated
+    independently of any path machinery:
+
+    * ``lam = 0``: the rate is deterministic; the discounted intrinsic value.
+    * Otherwise put ``u = sign(lam)*H(T)``, NIG(alpha, b, delta*T, m) with
+      ``b = sign(lam)*beta`` and ``m = sign(lam)*mu*T``, and ``l = |lam|``.
+      The payoff is positive for ``u > c = (log(K/F) - d)/l`` (``c = -inf``
+      at ``K = 0``), where ``F e^(d + l u) - K = F e^(d + l u) *
+      (-expm1(l (c - u)))``.  The factor ``e^(l u)`` tilts the law:
+      ``e^(l u) f(u) = e^(T kappa(lam)) g(u)`` with ``g`` the density of
+      NIG(alpha, b + l, delta*T, m), defined while ``|beta + lam| < alpha``
+      (the moment-domain check keeps it so).  With ``d + T kappa(lam) =
+      T lam mean`` the price is ``accrual * B(T_(N+1)) * F e^(T lam mean) *
+      int_c^inf g(u) (-expm1(l (c - u))) du``.
+    * Tails.  Away from ``m`` write ``y = u - m``, ``q = sqrt((delta T)^2 +
+      y^2)``.  ``K_1(z) e^z / q`` decreases along ``|y|``, and the exponent
+      ``(b + l) y - alpha q`` of ``g`` is concave with slope ``-s`` at the
+      far side of ``y``, ``s = alpha |y|/q - sign(y) (b + l)``, so on
+      ``|y'| >= |y|`` past that point ``g(u') <= g(u) e^(-s |y' - y|)``.
+      Where ``s > 0`` the integral beyond ``u`` is therefore at most
+      ``g(u)/s``; ``s`` rises to ``alpha - |beta + lam| > 0``.  The integral
+      is cut where that bound falls under ``ORACLE_TAIL`` times the part
+      already summed, a lower bound of the whole because the integrand is
+      nonnegative.
+    * Panels.  The integral walks right from ``max(c, m)`` and, when
+      ``c < m``, left from ``m`` to ``c``, on panels of width at most
+      ``min(delta T, 1/alpha)``, each a 20-point Gauss-Legendre rule.  The
+      density's branch points ``m +- i delta T`` then lie at least a panel
+      width off its axis, and the exponential rates of the integrand, at
+      most ``2 alpha``, change it by a bounded factor over a panel.
+
+    Requires a loading constant in time.
     """
     n = setup.n_rates
     levels = set(setup.vols.levels[n - 1])
     if len(levels) != 1:
         raise ValueError("benchmark needs a loading constant in time")
     lam = levels.pop()
-    if lam <= 0.0:
-        raise ValueError("benchmark needs a positive loading")
     p = setup.nig
     expiry = setup.tenor.date(n)
     forward = setup.initial_rate(n)
     scale = setup.tenor.accrual(n) * setup.curve.bond(n + 1)
+    if lam == 0.0:
+        return scale * max(forward - strike, 0.0)
+    if not abs(p.beta + lam) < p.alpha:
+        raise ValueError(
+            f"benchmark needs |beta + loading| < alpha, got beta {p.beta:g}, "
+            f"loading {lam:g}, alpha {p.alpha:g}")
     drift = -nig_jump_cumulant(lam, p) * expiry
+    sign, lam = math.copysign(1.0, lam), abs(lam)
+    cut = -math.inf if strike <= 0.0 else (
+        (math.log(strike / forward) - drift) / lam)
+    tilted = NigParams(alpha=p.alpha, beta=sign * p.beta + lam,
+                       delta=p.delta, mu=sign * p.mu)
+    loc, spread = tilted.mu * expiry, tilted.delta * expiry
 
-    spread = p.delta * expiry
-    law = norminvgauss(a=p.alpha * spread, b=p.beta * spread,
-                       loc=p.mu * expiry, scale=spread)
+    def integrand(u):
+        return nig_density(u, expiry, tilted) * -np.expm1(lam * (cut - u))
 
-    if strike <= 0.0:
-        cut = -np.inf
-    else:
-        cut = (np.log(strike / forward) - drift) / lam
+    def tail(u):
+        y = u - loc
+        slope = p.alpha * np.abs(y) / np.hypot(spread, y) \
+            - np.sign(y) * tilted.beta
+        with np.errstate(divide="ignore"):
+            return np.where(slope > 0.0,
+                            nig_density(u, expiry, tilted) / slope, np.inf)
 
-    def integrand(h: float) -> float:
-        return (forward * np.exp(drift + lam * h) - strike) * law.pdf(h)
-
-    start = cut
-    anchors = [c for c in (0.0, 10.0, 50.0) if c > start]
-    lowers = [start] + anchors
-    uppers = anchors + [np.inf]
-    total = 0.0
-    for a, b in zip(lowers, uppers):
-        val, _ = quad(integrand, a, b, epsabs=1e-14, epsrel=1e-11, limit=300)
-        total += val
-    return scale * total
+    width = min(spread, 1.0 / p.alpha)
+    right = _walk(integrand, tail, max(cut, loc), math.inf, width, 0.0)
+    left = (_walk(integrand, tail, loc, cut, -width, right)
+            if cut < loc else 0.0)
+    return (scale * forward * math.exp(expiry * sign * lam * nig_mean_rate(p))
+            * (right + left))
 
 
 # ---------------------------------------------------------------------------

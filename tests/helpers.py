@@ -6,6 +6,11 @@ from levylibor import (TenorStructure, VolatilityStructure, bundled_setup,
                        setup_from_dict, setup_to_dict)
 
 
+def nig_variance_rate(p):
+    """Variance of the NIG law per unit time: delta*alpha^2/gamma^3."""
+    return p.delta * p.alpha**2 / p.gamma**3
+
+
 def regular_tenor(n_rates, spacing=0.5, start=0.0):
     """Evenly spaced tenor structure with ``n_rates`` forward rates."""
     return TenorStructure(tuple(start + spacing * k
@@ -36,3 +41,7 @@ REGULAR_LOADINGS = [
     [0.1, -0.05, 0.15, 0.02, -0.12, 0.07, 0.2, -0.03, 0.11, 0.09],
     [0.125, 0.13, 0.005, 0.25],
 ]
+
+# 20 years semiannual, loadings falling from 0.05 to 0.02 on the 0.01
+# lattice: far past what a 2^m subset expansion could hold
+FORTY_LOADINGS = [round(5 - 3 * k / 39) / 100 for k in range(40)]

@@ -17,6 +17,8 @@ from levylibor import (CapletSpec, Scheme, SimulationEngine, acceptance,
                        build_grid, bundled_setup, price_instruments_mc,
                        setup_from_dict, setup_to_dict)
 
+from helpers import REGULAR_LOADINGS, regular_setup
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -55,6 +57,20 @@ def test_last_rate_sample_matches_separate_pricing(setup):
         for strike in (0.0, setup.initial_rate(9))]
     assert [zero_strike, atm] == alone
     assert zero_strike.n_paths + zero_strike.n_invalid == 1000
+
+
+def test_criteria_1_and_2_on_a_deterministic_last_rate():
+    # a zero last loading makes the last rate deterministic: every ATM
+    # caplet payoff is equal, its SE is 0, and the oracle prices the
+    # discounted intrinsic value
+    setup = regular_setup(REGULAR_LOADINGS[0][:-1] + [0.0])
+    sample = acceptance.build_last_rate_sample(
+        setup, acceptance.DEFAULT_SEED, 1000)
+    assert sample[1].std_error == 0.0
+    oracle = acceptance.criterion_last_rate_caplet_oracle(setup, sample)
+    assert oracle.passed
+    assert oracle.details[1] == "deviation +0 = +0.00 SE (SE 0)"
+    report(acceptance.criterion_martingale_mean(setup, sample, 0.0))
 
 
 def test_criterion_1_terminal_rate_martingale_mean(setup, last_rate_sample):

@@ -3,16 +3,22 @@
 import csv
 import importlib.metadata as md
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import levylibor
 from levylibor import (acceptance, bundled_setup, compare_schemes,
                        setup_to_dict, zero_strike_caplet_value)
 from levylibor.cli import build_parser, main
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# The directory the package under test is imported from.
+PACKAGE_ROOT = Path(levylibor.__file__).resolve().parents[1]
 
 
 def _is_installed(dist_name):
@@ -365,3 +371,35 @@ class TestParser:
         ep = md.EntryPoint(name="levylibor", value=declared["levylibor"],
                            group="console_scripts")
         assert ep.load() is main
+
+
+class TestImportFootprint:
+    """A pricing run loads numpy and ``scipy.special`` only.
+
+    ``scipy.integrate`` and ``scipy.stats`` bring linalg, optimize, sparse,
+    spatial and fft with them, about 46 MiB of resident memory; only the
+    test oracles and criterion 4's drift quadrature use them.  Each command
+    runs as ``python -m levylibor`` in a fresh interpreter whose
+    ``-X importtime`` report lists every module it imported, so a module
+    absent from it never entered ``sys.modules``."""
+
+    @pytest.mark.parametrize("command", ["price-caplets", "compare"])
+    def test_pricing_run_leaves_scipy_stats_and_integrate_unloaded(
+            self, command, tmp_path):
+        path = [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(p for p in path if p))
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "levylibor", command,
+             "--paths", "64", "--out", str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in done.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert {"levylibor.cli", "scipy.special"} <= imported
+        heavy = sorted(m for m in imported
+                       for top in ("scipy.stats", "scipy.integrate")
+                       if m == top or m.startswith(top + "."))
+        assert heavy == []
+        assert (tmp_path / "out.csv").read_text().startswith("instrument,")

@@ -24,7 +24,7 @@ from levylibor import (
 from levylibor.drift import _absorb, link_weight
 from levylibor.market import LOADING_QUANTA
 
-from helpers import REGULAR_LOADINGS, regular_setup
+from helpers import FORTY_LOADINGS, REGULAR_LOADINGS, regular_setup
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +232,7 @@ class TestDriftEvaluator:
         ev = DriftEvaluator(setup, grid)
         table = ev.frozen_table()
         z0 = setup.log_initial_rates[None, :]
-        for k in range(ev.n_steps):
+        for k in range(len(ev.dt)):
             assert np.array_equal(table[k], ev.step_drift(k, z0)[0])
 
     def test_dead_rates_have_zero_drift(self, setup):
@@ -327,11 +327,6 @@ class HullEvaluator(DriftEvaluator):
     _jump_pass = hull_jump_pass
 
 
-# 20 years semiannual, loadings falling from 0.05 to 0.02 on the 0.01
-# lattice: far past what a 2^m subset expansion could hold
-FORTY_LOADINGS = [round(5 - 3 * k / 39) / 100 for k in range(40)]
-
-
 def oracle_setups():
     return ([("bundled", bundled_setup())]
             + [(f"regular{k}", regular_setup(v))
@@ -375,7 +370,7 @@ class TestReachableSupport:
             for s in times:
                 assert np.array_equal(ev.jump_terms(s, z),
                                       hull.jump_terms(s, z), equal_nan=True)
-            for k in range(ev.n_steps):
+            for k in range(len(ev.dt)):
                 assert np.array_equal(ev.step_drift(k, z),
                                       hull.step_drift(k, z), equal_nan=True)
 

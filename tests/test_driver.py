@@ -6,16 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, norminvgauss
 
 from levylibor import (
     CumulantDomainError,
     NigParams,
     nig_cumulant,
+    nig_density,
     nig_jump_cumulant,
     nig_levy_density,
     nig_mean_rate,
-    nig_variance_rate,
     sample_inverse_gaussian,
     SimulationEngine,
     block_rng,
@@ -23,6 +23,8 @@ from levylibor import (
     bundled_setup,
     sample_nig_increment,
 )
+
+from helpers import nig_variance_rate
 
 BENCH = NigParams(alpha=1.5, beta=0.0, delta=1.5, mu=0.0)
 
@@ -84,6 +86,31 @@ class TestCumulant:
         gamma = math.sqrt(4.0 - 0.16)
         assert nig_mean_rate(p) == pytest.approx(0.1 + 0.8 * 0.4 / gamma,
                                                  rel=1e-15)
+
+
+class TestDensity:
+    @pytest.mark.parametrize("p,t", [
+        (BENCH, 0.5), (BENCH, 4.5),
+        (NigParams(alpha=2.0, beta=0.2, delta=1.2, mu=-0.12), 20.0),
+        (NigParams(alpha=2.0, beta=-0.5, delta=0.3, mu=0.4), 1.0),
+        (NigParams(alpha=3.0, beta=1.0, delta=0.05, mu=0.2), 0.5),
+    ])
+    def test_matches_scipy_norminvgauss(self, p, t):
+        # scipy's law in its standard form: a = alpha s, b = beta s with
+        # the spread s = delta t as scale, mu t as location
+        spread = p.delta * t
+        law = norminvgauss(a=p.alpha * spread, b=p.beta * spread,
+                           loc=p.mu * t, scale=spread)
+        x = p.mu * t + np.linspace(-40.0, 40.0, 801)
+        expected = law.pdf(x)
+        assert np.all(expected > 0.0)
+        np.testing.assert_allclose(nig_density(x, t, p), expected,
+                                   rtol=1e-13, atol=0.0)
+
+    def test_scalar_in_scalar_out(self):
+        value = nig_density(0.3, 2.0, BENCH)
+        assert isinstance(value, float)
+        assert value == nig_density(np.array([0.3]), 2.0, BENCH)[0]
 
 
 class TestLevyDensity:

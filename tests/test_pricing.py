@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.integrate import quad
+from scipy.stats import norm, norminvgauss
 
 import levylibor.pricing as pricing
 from levylibor import (
@@ -31,6 +32,10 @@ from levylibor import (
     setup_to_dict,
     zero_strike_caplet_value,
 )
+from levylibor.driver import nig_jump_cumulant
+from levylibor.pricing import DEFAULT_MONEYNESS
+
+from helpers import FORTY_LOADINGS, REGULAR_LOADINGS, regular_setup
 
 
 def _oracle_price(forward, strike, vol, expiry, discount=1.0, accrual=1.0):
@@ -251,6 +256,46 @@ class TestBlack76:
         assert err.value.side == "nan"
 
 
+def _quad_last_rate(setup, strike):
+    """The last-rate caplet by adaptive quadrature against scipy's NIG law:
+    independent of the package's density and of its integration rule."""
+    n = setup.n_rates
+    lam = setup.vols.levels[n - 1][0]
+    p = setup.nig
+    expiry = setup.tenor.date(n)
+    forward = setup.initial_rate(n)
+    drift = -nig_jump_cumulant(lam, p) * expiry
+    spread = p.delta * expiry
+    law = norminvgauss(a=p.alpha * spread, b=p.beta * spread,
+                       loc=p.mu * expiry, scale=spread)
+
+    def integrand(h):
+        return (forward * np.exp(drift + lam * h + law.logpdf(h))
+                - strike * law.pdf(h))
+
+    # the payoff pays on one side of the cut; |H| <= 400 holds the mass
+    lo, hi = -400.0, 400.0
+    if strike > 0.0:
+        cut = (math.log(strike / forward) - drift) / lam
+        lo, hi = (cut, hi) if lam > 0.0 else (lo, cut)
+    total, _ = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500,
+                    points=[x for x in (-50.0, -10.0, 0.0, 10.0, 50.0)
+                            if lo < x < hi])
+    return setup.tenor.accrual(n) * setup.curve.bond(n + 1) * total
+
+
+# The last loading is negative: the caplet pays below the cut in H(T_N).
+NEGATIVE_LAST = REGULAR_LOADINGS[1][:-1] + [-0.09]
+
+ORACLE_SETUPS = {
+    "bundled": bundled_setup(),
+    "one-rate": regular_setup([0.2]),
+    "fourteen": regular_setup([round(0.1 - 0.005 * k, 3) for k in range(14)]),
+    "forty": regular_setup(FORTY_LOADINGS),
+    "negative-last": regular_setup(NEGATIVE_LAST),
+}
+
+
 class TestQuadratureOracle:
     def test_zero_strike_reduces_to_bond_difference(self, setup):
         assert caplet_price_last_rate(setup, 0.0) == \
@@ -266,6 +311,41 @@ class TestQuadratureOracle:
         prices = [caplet_price_last_rate(setup, k) for k in strikes]
         assert all(a > b for a, b in zip(prices, prices[1:]))
         assert all(p > 0 for p in prices)
+
+    @pytest.mark.parametrize("name", list(ORACLE_SETUPS))
+    def test_matches_adaptive_quadrature(self, name):
+        setup = ORACLE_SETUPS[name]
+        forward = setup.initial_rate(setup.n_rates)
+        for m in (0.0, *DEFAULT_MONEYNESS):
+            assert caplet_price_last_rate(setup, m * forward) == \
+                pytest.approx(_quad_last_rate(setup, m * forward), rel=1e-12)
+
+    def test_negative_loading_matches_frozen_monte_carlo(self):
+        setup = ORACLE_SETUPS["negative-last"]
+        n = setup.n_rates
+        forward = setup.initial_rate(n)
+        specs = [CapletSpec(n, m * forward) for m in (0.8, 1.0, 1.2)]
+        frozen = Scheme.FROZEN_DRIFT
+        estimates = price_instruments_mc(setup, specs, [frozen], 20000,
+                                         seed=1)[frozen]
+        for spec, est in zip(specs, estimates):
+            assert est.n_invalid == 0
+            oracle = caplet_price_last_rate(setup, spec.strike)
+            assert abs(est.price - oracle) <= 4.0 * est.std_error
+
+    def test_zero_loading_prices_the_discounted_intrinsic_value(self):
+        setup = regular_setup([0.1, 0.0])
+        forward = setup.initial_rate(2)
+        scale = setup.tenor.accrual(2) * setup.curve.bond(3)
+        for m in (0.0, 0.9, 1.0, 1.1):
+            assert caplet_price_last_rate(setup, m * forward) == \
+                scale * max(forward - m * forward, 0.0)
+
+    def test_loading_outside_the_open_moment_domain_is_refused(self, setup):
+        raw = setup_to_dict(setup)
+        raw["nig"]["alpha"] = setup.vols.levels[-1][0]
+        with pytest.raises(ValueError, match="alpha"):
+            caplet_price_last_rate(setup_from_dict(raw), 0.05)
 
 
 class TestForwardSwapRate:

@@ -12,14 +12,13 @@ from levylibor import (
     build_grid,
     bundled_setup,
     nig_cumulant,
-    nig_variance_rate,
     sample_nig_increment,
     setup_from_dict,
     setup_to_dict,
 )
 from levylibor.simulate import RNG_BLOCK
 
-from helpers import regular_tenor
+from helpers import nig_variance_rate, regular_tenor
 
 
 @pytest.fixture(scope="module")
